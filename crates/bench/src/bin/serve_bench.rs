@@ -13,14 +13,15 @@
 //! sustained predictions/sec plus end-to-end tail latency. Results are
 //! printed and saved to `results/serving.csv` / `results/serving_shards.csv`.
 //!
-//! With `--model seq2seq`, shards serve full k-step horizons through the
-//! batched decoder (`--decode-batch`, default 8, bit-identical for any
-//! value), and the bench additionally sweeps the offline batched decoder
-//! over batch sizes 1–16, appending one row per batch size; at batch ≥ 8
-//! the decoder must sustain ≥ 2x the unbatched rate (gated like the
-//! 100k predictions/sec GDBT target, full runs only).
+//! Shards answer up to `--decode-batch` queued records (default 8, one per
+//! UE) with one model call, for either family; responses are bit-identical
+//! for any value. With `--model seq2seq`, shards serve full k-step
+//! horizons through the batched decoder, and the bench additionally sweeps
+//! the offline batched decoder over batch sizes 1–16, appending one row per
+//! batch size; at batch ≥ 8 the decoder must sustain ≥ 2x the unbatched
+//! rate (gated like the 100k predictions/sec GDBT target, full runs only).
 //!
-//! `--save-models DIR` writes the served model to `DIR/model-v1.l5gm`;
+//! `--save-models DIR` writes the served model to `DIR/model.gen-1.l5gm`;
 //! `--load-models DIR` cold-starts from the highest version saved there
 //! and skips training entirely — the loaded model is bit-identical. Both
 //! families use the same `.l5gm` format.
@@ -498,16 +499,12 @@ fn main() {
             "online_mae_mbps",
         ],
     );
-    let engine_batch = match args.model {
-        ModelChoice::Gdbt => "-".to_string(),
-        ModelChoice::Seq2Seq => args.decode_batch.to_string(),
-    };
     summary.row(&[
         args.model.name().to_string(),
         args.shards.to_string(),
         args.ues.to_string(),
         report.processed.to_string(),
-        engine_batch,
+        args.decode_batch.to_string(),
         format!("{preds_per_sec:.0}"),
         us(report.p50_ns),
         us(report.p95_ns),

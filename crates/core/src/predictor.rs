@@ -469,8 +469,9 @@ impl TrainedRegressor {
     }
 
     /// Batched multi-step prediction over several histories at once — the
-    /// serving engine's batched-decoder dispatch. Lane `i` of the result is
-    /// bit-identical to `predict_sequence_checked(histories[i])` (the
+    /// serving engine's one model call per dispatch, for every family. Lane
+    /// `i` of the result is bit-identical to
+    /// `predict_sequence_checked(histories[i])` (the
     /// Seq2Seq matmuls are row-blocked, which reorders memory traffic but
     /// never per-lane floating-point operations). Returns `None` under the
     /// same conditions as the single-history form: any empty lane, or a
@@ -542,12 +543,13 @@ impl TrainedRegressor {
         }
     }
 
-    /// Single-row prediction for the tabular families (GDBT / KNN / RF) —
-    /// the serving-engine hot path. Uses the same `predict_row` the batch
-    /// `eval` path reduces to, so an online prediction over a feature vector
-    /// built by [`FeatureSpec::extract_latest`] is bit-identical to the
-    /// offline one. Returns `None` for families that are not a function of
-    /// a single feature row (Seq2Seq, Kriging, HarmonicMean).
+    /// Single-row prediction for the tabular families (GDBT / KNN / RF).
+    /// Uses the same `predict_row` the batch `eval` path and the serving
+    /// engine's one-row sequence form reduce to, so an online prediction
+    /// over a feature vector built by [`FeatureSpec::extract_latest`] is
+    /// bit-identical to the offline one. Returns `None` for families that
+    /// are not a function of a single feature row (Seq2Seq, Kriging,
+    /// HarmonicMean).
     pub fn predict_one(&self, x: &[f64]) -> Option<f64> {
         match self {
             TrainedRegressor::Gdbt { model, .. } => Some(model.predict_row(x)),

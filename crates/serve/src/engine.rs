@@ -18,7 +18,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, ShardMetrics};
 use crate::queue::{IngestQueue, OverloadPolicy};
 use crate::registry::{Gatekeeper, ModelRegistry, SwapRejected};
-use crate::shard::{run_shard, Ingest, Prediction, SequenceServing, ShardContext};
+use crate::shard::{run_shard, Ingest, Prediction, ShardContext};
 use crossbeam::channel::{self, Receiver, Sender};
 use lumos5g::persist::PersistError;
 use lumos5g::TrainedRegressor;
@@ -40,16 +40,16 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// What to do when a shard queue is full.
     pub policy: OverloadPolicy,
-    /// Per-call model time budget: a `predict_one` slower than this is
-    /// answered by the harmonic fallback instead (tagged `degraded`).
-    /// `None` (the default) disables the clock entirely, keeping the
-    /// fault-free hot path free of `Instant::now` calls.
+    /// Per-call model time budget: a model call slower than this is
+    /// answered by the harmonic fallback instead (tagged `degraded`) for
+    /// every record it served. `None` (the default) disables the clock
+    /// entirely, keeping the fault-free hot path free of `Instant::now`
+    /// calls.
     pub predict_budget: Option<Duration>,
-    /// When the served model is a Seq2Seq: how many already-queued records
-    /// a shard may answer with one batched decoder call (capped at one
-    /// record per UE per batch). Responses are bit-identical for any value;
-    /// larger batches amortize weight-matrix traffic. Ignored for
-    /// single-row families.
+    /// How many already-queued records a shard may answer with one model
+    /// call (capped at one record per UE per call), for every model family.
+    /// Responses are bit-identical for any value; larger batches amortize
+    /// weight-matrix traffic in the Seq2Seq decoder.
     pub decode_batch: usize,
 }
 
@@ -333,22 +333,21 @@ impl Engine {
             .spec()
             .copied()
             .unwrap_or_else(|| FeatureSpec::new(FeatureSet::L));
-        // Sequence-serving mode is fixed at engine start from the initial
-        // model, like the spec: hot swaps must keep the model family.
-        let seq = registry
+        // The session history length is fixed at engine start from the
+        // initial model, like the spec: a hot-swapped model that reads a
+        // longer history answers warm-ups.
+        let input_len = registry
             .current()
             .regressor
             .seq2seq_params()
-            .map(|p| SequenceServing {
-                input_len: p.input_len,
-                batch: cfg.decode_batch.max(1),
-            });
+            .map_or(1, |p| p.input_len);
         let ctx = ShardContext {
             spec,
             stale_after: cfg.policy.stale_after(),
             predict_budget: cfg.predict_budget,
             faults,
-            seq,
+            input_len,
+            batch: cfg.decode_batch.max(1),
         };
         let (out_tx, out_rx) = channel::unbounded();
         let nshards = cfg.shards.max(1);
@@ -827,6 +826,56 @@ mod tests {
         );
         let (report, _rx) = engine.shutdown();
         assert_eq!(report.swap_rejected, 0);
+    }
+
+    /// A hot swap to a model that reads more history than the engine's
+    /// sessions keep — a GDBT-started engine (one-row histories) swapped to
+    /// a Seq2Seq — answers its records as warm-ups: never decoded from a
+    /// one-row history, never degraded.
+    #[test]
+    fn swap_to_a_longer_history_model_answers_warmups() {
+        let ds = golden_dataset(80);
+        let mut p = lumos5g::quick_seq2seq();
+        p.input_len = 3;
+        p.horizon = 2;
+        p.hidden = 4;
+        p.layers = 1;
+        p.epochs = 1;
+        let seq2seq = lumos5g::Lumos5G::new(FeatureSet::LM, lumos5g::ModelKind::Seq2Seq(p))
+            .fit_regression(&ds)
+            .expect("seq2seq trains");
+        let engine = Engine::start(
+            train_gbdt(FeatureSet::LM, &ds),
+            EngineConfig {
+                shards: 1,
+                ..Default::default()
+            },
+        );
+        let rx = engine.responses().clone();
+        for t in 0..5 {
+            assert!(engine.submit(7, rec(1, t, 100.0)));
+        }
+        for _ in 0..5 {
+            let p = rx.recv().unwrap();
+            assert_eq!(p.model_version, 1);
+            assert!(p.predicted_mbps.is_some(), "GDBT serves from one row");
+        }
+        assert_eq!(engine.registry().swap(seq2seq), 2);
+        for t in 5..15 {
+            assert!(engine.submit(7, rec(1, t, 100.0)));
+        }
+        let (report, rest) = engine.shutdown();
+        let after: Vec<Prediction> = rest.iter().collect();
+        assert_eq!(after.len(), 10);
+        for p in &after {
+            assert_eq!(p.model_version, 2);
+            assert_eq!(p.predicted_mbps, None, "decoded from a short history");
+            assert_eq!(p.horizon_mbps, None);
+            assert!(!p.degraded);
+        }
+        assert_eq!(report.predictions, 5);
+        assert_eq!(report.shards.iter().map(|s| s.warmups).sum::<u64>(), 10);
+        assert_eq!(report.fallbacks, 0);
     }
 
     /// The gate's three failure modes, end to end: a candidate whose every

@@ -16,9 +16,9 @@
 //! |----------------|--------------------------------|-----------------------|
 //! | `corrupt`      | record mutated at the source   | admission control     |
 //! | `poison`       | panic inside session/extract   | quarantine + respond  |
-//! | `predict panic`| `predict_one` unwinds          | harmonic fallback     |
-//! | `predict nan`  | `predict_one` returns NaN      | harmonic fallback     |
-//! | `predict slow` | `predict_one` blows the budget | harmonic fallback     |
+//! | `predict panic`| the model call unwinds         | harmonic fallback     |
+//! | `predict nan`  | the model call returns NaN     | harmonic fallback     |
+//! | `predict slow` | model call blows its budget    | harmonic fallback     |
 //! | `kill`         | worker thread dies             | supervisor respawn    |
 
 use lumos5g_sim::Record;
@@ -62,11 +62,11 @@ impl RecordKey {
 pub enum PredictFault {
     /// No fault: the model runs untouched.
     None,
-    /// `predict_one` panics (a poisoned model).
+    /// The model call panics (a poisoned model).
     Panic,
-    /// `predict_one` returns NaN (a silently broken model).
+    /// The model call returns NaN (a silently broken model).
     Nan,
-    /// `predict_one` exceeds the per-call time budget (a stuck model).
+    /// The model call exceeds the per-call time budget (a stuck model).
     Slow,
 }
 
@@ -78,8 +78,9 @@ pub struct RecordFault {
     /// Panic inside session update / feature extraction (the record itself
     /// is poison): the shard must quarantine it and keep serving.
     pub poison: bool,
-    /// Kill the worker thread after this record is answered: the engine
-    /// supervisor must respawn the shard.
+    /// Kill the worker thread once this record is answered (the shard's
+    /// drain ends at this record): the engine supervisor must respawn the
+    /// shard.
     pub kill_worker: bool,
 }
 
@@ -113,11 +114,11 @@ pub enum Corruption {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
-    /// `predict_one` panic rate, basis points.
+    /// Model-call panic rate, basis points.
     pub predict_panic_bp: u32,
-    /// `predict_one` NaN rate, basis points.
+    /// Model-call NaN rate, basis points.
     pub predict_nan_bp: u32,
-    /// `predict_one` over-budget rate, basis points.
+    /// Model-call over-budget rate, basis points.
     pub predict_slow_bp: u32,
     /// Poison-record (session/extract panic) rate, basis points.
     pub poison_bp: u32,

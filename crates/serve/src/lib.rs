@@ -11,20 +11,25 @@
 //! Architecture (one [`engine::Engine`]):
 //!
 //! ```text
-//!                      ┌────────── shard 0 ── sessions {ue → window} ─┐
-//!  submit(ue, record) ─┤ hash(ue) ─ shard 1 ── extract_latest ────────┼─→ responses
-//!                      └────────── shard N ── registry.predict_one ───┘
+//!                      ┌────────── shard 0 ── sessions {ue → window} ─────────┐
+//!  submit(ue, record) ─┤ hash(ue) ─ shard 1 ── extract_latest ────────────────┼─→ responses
+//!                      └────────── shard N ── registry.predict_sequence_batch ┘
 //! ```
 //!
 //! * **UE affinity** — records are routed to a shard by UE-id hash, so one
 //!   UE's stream is always processed by one worker in arrival order; the
 //!   per-session sliding window ([`session::Session`]) that feeds the `C`
 //!   feature group is therefore race-free without locks.
-//! * **Bit-exact with offline eval** — shards build features through
-//!   [`lumos5g::FeatureSpec::extract_latest`] and predict through
-//!   [`lumos5g::TrainedRegressor::predict_one`], the very code paths the
-//!   offline `eval` reduces to, so online predictions are bit-identical to
-//!   the training-time numbers (asserted by the workspace `serving` test).
+//! * **One dispatch loop** — each shard drains up to
+//!   [`engine::EngineConfig::decode_batch`] queued records (one per UE),
+//!   builds features through [`lumos5g::FeatureSpec::extract_latest`], and
+//!   answers them with one
+//!   [`lumos5g::TrainedRegressor::predict_sequence_batch`] call for every
+//!   model family. Single-row families (GDBT, KNN, RF) read the newest
+//!   feature row with the same `predict_row` that `predict_one` and the
+//!   offline `eval` reduce to, so online predictions are bit-identical to
+//!   the training-time numbers for any shard count and batch size
+//!   (asserted by the workspace `serving` test).
 //! * **Hot swap, gated** — [`registry::ModelRegistry`] atomically replaces
 //!   the served model mid-stream; in-flight records finish on the version
 //!   they started with and responses carry the version that produced them.
@@ -43,18 +48,18 @@
 //! * **Backpressure** — ingest queues are bounded; [`queue::OverloadPolicy`]
 //!   picks between blocking the producer, shedding load (counted, never
 //!   silent), and a dequeue-side staleness deadline.
-//! * **Sequence serving** — when the engine starts with a Seq2Seq model,
-//!   sessions additionally retain the per-second feature-vector history its
-//!   encoder consumes, and shards opportunistically answer up to
-//!   [`engine::EngineConfig::decode_batch`] queued records (one per UE) with
-//!   a single batched decoder call. Responses carry the full k-step horizon
-//!   ([`shard::Prediction::horizon_mbps`]) and are bit-identical to the
-//!   offline `predict_sequence` for any shard count and batch size.
+//! * **Sequence serving** — sessions retain the per-second feature-vector
+//!   history the served model reads (the Seq2Seq encoder input, or one row
+//!   for single-row families). A Seq2Seq dispatch is one batched decoder
+//!   call, and its responses carry the full k-step horizon
+//!   ([`shard::Prediction::horizon_mbps`]), bit-identical to the offline
+//!   `predict_sequence`.
 //! * **Fault tolerance** — admission control rejects malformed telemetry at
 //!   the front door with a typed [`engine::RejectReason`]; per-record panic
 //!   isolation quarantines poison records; a harmonic fallback chain
-//!   answers (tagged `degraded`) when the model panics, returns non-finite,
-//!   or blows its time budget; and a supervisor respawns dead shard workers
+//!   answers (tagged `degraded`) when the model call panics, returns
+//!   non-finite, or blows its time budget (a shared call's verdict applies
+//!   to every record it served); and a supervisor respawns dead shard workers
 //!   instead of failing shutdown. [`fault::FaultPlan`] injects all of these
 //!   failures deterministically for chaos testing
 //!   (`serve_bench --chaos <seed>`, `tests/chaos.rs`).
@@ -85,4 +90,4 @@ pub use registry::{
 };
 pub use replay::{ReplaySource, ReplayStats};
 pub use session::Session;
-pub use shard::{Ingest, Prediction, SequenceServing, ShardContext};
+pub use shard::{Ingest, Prediction, ShardContext};

@@ -27,10 +27,10 @@ pub struct PendingPrediction {
 pub struct Session {
     window: VecDeque<Record>,
     capacity: usize,
-    /// Extracted feature vectors for Seq2Seq serving, one per contiguous
-    /// second, oldest first. Empty unless the engine serves a sequence
-    /// model (`feature_capacity > 0`).
-    features: VecDeque<Vec<f64>>,
+    /// Extracted feature vectors, one per contiguous second, oldest first:
+    /// the history the served model reads. Empty when `feature_capacity`
+    /// is 0.
+    features: Vec<Vec<f64>>,
     feature_capacity: usize,
     /// Serving cell of the newest record (1000 = LTE macro).
     pub last_cell: u32,
@@ -52,13 +52,14 @@ impl Session {
     }
 
     /// New session that additionally retains the last `input_len` extracted
-    /// feature vectors — the encoder history a Seq2Seq model consumes. Pass
-    /// `input_len == 0` for single-row families (no feature history kept).
+    /// feature vectors — the history the served model reads: a Seq2Seq
+    /// encoder input, or the newest row (`input_len == 1`) for single-row
+    /// families. `input_len == 0` keeps no feature history.
     pub fn for_sequences(capacity: usize, input_len: usize) -> Self {
         Session {
             window: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
-            features: VecDeque::with_capacity(input_len),
+            features: Vec::with_capacity(input_len),
             feature_capacity: input_len,
             last_cell: 1000,
             on_5g: false,
@@ -142,14 +143,14 @@ impl Session {
             return;
         }
         if self.features.len() == self.feature_capacity {
-            self.features.pop_front();
+            self.features.remove(0);
         }
-        self.features.push_back(features);
+        self.features.push(features);
     }
 
-    /// The retained feature history, oldest first (contiguous slice).
-    pub fn feature_history(&mut self) -> &[Vec<f64>] {
-        self.features.make_contiguous()
+    /// The retained feature history, oldest first.
+    pub fn feature_history(&self) -> &[Vec<f64>] {
+        &self.features
     }
 
     /// Feature vectors currently retained.

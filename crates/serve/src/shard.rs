@@ -1,16 +1,24 @@
 //! Shard worker: owns the sessions of the UEs hashed to it and turns each
 //! incoming record into (at most) one prediction.
 //!
+//! Every model family is served by one dispatch loop. The worker drains up
+//! to [`ShardContext::batch`] queued records (at most one per UE), updates
+//! their sessions, and answers every lane with a warm history through one
+//! `predict_sequence_batch` call. Single-row families (GDBT, KNN, RF) are
+//! the one-row-history case: the model reads the newest feature row with
+//! the same `predict_row` that `predict_one` uses offline.
+//!
 //! The worker is fault-isolated at two levels. Around the model call, a
-//! fallback chain guarantees a finite answer: if `predict_one` panics,
-//! returns non-finite, or exceeds the configured time budget, the response
-//! is served from the session-local harmonic-mean predictor and tagged
-//! `degraded`. Around the whole record, `catch_unwind` quarantines poison
-//! records — a panic in session update or feature extraction discards the
-//! (possibly torn) session, counts the record as quarantined, and still
-//! emits a degraded response instead of taking the worker down. A panic
-//! that escapes both layers kills the thread; the engine supervisor
-//! respawns it (see `engine.rs`).
+//! fallback chain guarantees a finite answer: if the call panics or exceeds
+//! the configured time budget, every lane it served is answered from its
+//! session-local harmonic-mean predictor and tagged `degraded`, as is a
+//! lane whose own answer comes back empty or non-finite. Around each
+//! record's session update, `catch_unwind` quarantines poison records — a
+//! panic in session update or feature extraction discards the (possibly
+//! torn) session, counts the record as quarantined, and still emits a
+//! degraded response instead of taking the worker down. A panic that
+//! escapes both layers kills the thread; the engine supervisor respawns it
+//! (see `engine.rs`).
 
 use crate::fault::{FaultPlan, PredictFault, RecordFault, RecordKey};
 use crate::metrics::ShardMetrics;
@@ -69,17 +77,6 @@ pub struct Prediction {
     pub degraded: bool,
 }
 
-/// Sequence-serving shard configuration, present when the engine serves a
-/// Seq2Seq model (see `EngineConfig::decode_batch`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SequenceServing {
-    /// Encoder history length the served model was trained with
-    /// (`Seq2SeqParams::input_len`).
-    pub input_len: usize,
-    /// Maximum records answered per batched model call.
-    pub batch: usize,
-}
-
 /// Per-worker serving context: everything a shard needs besides its
 /// channels, bundled so the engine supervisor can respawn a worker with
 /// the exact configuration the dead one had.
@@ -89,174 +86,32 @@ pub struct ShardContext {
     pub spec: FeatureSpec,
     /// Dequeue-side staleness budget (from [`crate::OverloadPolicy::Deadline`]).
     pub stale_after: Option<Duration>,
-    /// Per-call model time budget; a slower `predict_one` falls back to the
+    /// Per-call model time budget; a slower model call falls back to the
     /// harmonic predictor. `None` disables the clock entirely (no
     /// `Instant::now` on the hot path).
     pub predict_budget: Option<Duration>,
     /// Deterministic fault injection (chaos testing); `None` in production.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Sequence-serving mode: `Some` when the served model predicts from a
-    /// feature-vector history (Seq2Seq). `None` serves single-row families
-    /// on the unbatched path.
-    pub seq: Option<SequenceServing>,
+    /// Feature rows each session keeps: the encoder input length of the
+    /// model the engine started with (`Seq2SeqParams::input_len`), 1 for
+    /// single-row families.
+    pub input_len: usize,
+    /// Maximum records answered per model call
+    /// ([`crate::EngineConfig::decode_batch`]).
+    pub batch: usize,
 }
 
 impl ShardContext {
     /// A plain production context: no deadline, no budget, no faults,
-    /// single-row serving.
+    /// one-row histories and one record per model call.
     pub fn new(spec: FeatureSpec) -> Self {
         ShardContext {
             spec,
             stale_after: None,
             predict_budget: None,
             faults: None,
-            seq: None,
-        }
-    }
-}
-
-/// How one record's prediction was produced.
-struct StepOutcome {
-    predicted: Option<f64>,
-    degraded: bool,
-    fallback: bool,
-    horizon: Option<Vec<f64>>,
-    model_version: u64,
-}
-
-/// Run one shard worker until its ingest channel disconnects.
-///
-/// Per record: update the UE's session window, settle any pending
-/// prediction against the newly measured throughput, extract features via
-/// [`FeatureSpec::extract_latest`] and predict via
-/// `TrainedRegressor::predict_one` on the registry's current model — the
-/// exact offline code paths, which is what makes fault-free serving
-/// bit-exact.
-pub fn run_shard(
-    shard: usize,
-    ctx: ShardContext,
-    registry: Arc<ModelRegistry>,
-    rx: Receiver<Ingest>,
-    out: Sender<Prediction>,
-    metrics: Arc<ShardMetrics>,
-) {
-    if let Some(seq) = ctx.seq {
-        return run_shard_sequence(shard, ctx, seq, registry, rx, out, metrics);
-    }
-    let required = ctx.spec.required_window();
-    let mut sessions: HashMap<u64, Session> = HashMap::new();
-    for msg in rx.iter() {
-        let Ingest {
-            ue,
-            record,
-            enqueued,
-        } = msg;
-        if let Some(max_age) = ctx.stale_after {
-            if enqueued.elapsed() > max_age {
-                metrics.shed_stale.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        }
-        // Identity and ground truth captured up front, so a panic anywhere
-        // in processing can still be answered (and `window().last()` is no
-        // longer a panic risk).
-        let (pass_id, t, measured) = (record.pass_id, record.t, record.throughput_mbps);
-        let fault = match &ctx.faults {
-            Some(plan) => plan.fault_for(RecordKey::of(ue, &record)),
-            None => RecordFault::NONE,
-        };
-        metrics.processed.fetch_add(1, Ordering::Relaxed);
-
-        let step = panic::catch_unwind(AssertUnwindSafe(|| {
-            if fault.poison {
-                panic!("chaos: injected poison record (ue {ue} pass {pass_id} t {t})");
-            }
-            let session = sessions.entry(ue).or_insert_with(|| Session::new(required));
-            let resets_before = session.resets;
-            if let Some(err) = session.push(record) {
-                metrics.record_error(err);
-            }
-            metrics
-                .resets
-                .fetch_add(session.resets - resets_before, Ordering::Relaxed);
-
-            let model = registry.current();
-            let x = ctx.spec.extract_latest(session.window());
-            let outcome = predict_step(
-                &model.regressor,
-                x,
-                session,
-                fault.predict,
-                ctx.predict_budget,
-            );
-            if let Some(y) = outcome.0 {
-                session.pending = Some(PendingPrediction {
-                    pass_id,
-                    t,
-                    predicted_mbps: y,
-                });
-            }
-            StepOutcome {
-                predicted: outcome.0,
-                degraded: outcome.1,
-                fallback: outcome.1,
-                horizon: None,
-                model_version: model.version,
-            }
-        }));
-        let outcome = match step {
-            Ok(o) => o,
-            Err(_) => {
-                // Poison record: the session may be torn mid-update — drop
-                // it so the UE rebuilds cold — quarantine the record, and
-                // still answer (degraded, no prediction).
-                sessions.remove(&ue);
-                metrics.quarantined.fetch_add(1, Ordering::Relaxed);
-                StepOutcome {
-                    predicted: None,
-                    degraded: true,
-                    fallback: false,
-                    horizon: None,
-                    model_version: registry.current().version,
-                }
-            }
-        };
-        match outcome.predicted {
-            Some(_) => {
-                metrics.predictions.fetch_add(1, Ordering::Relaxed);
-            }
-            None if !outcome.degraded => {
-                metrics.warmups.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {} // quarantined: counted above
-        }
-        if outcome.fallback {
-            metrics.fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        let latency_ns = enqueued.elapsed().as_nanos() as u64;
-        metrics.latency.record(latency_ns);
-        if out
-            .send(Prediction {
-                ue,
-                pass_id,
-                t,
-                shard,
-                model_version: outcome.model_version,
-                predicted_mbps: outcome.predicted,
-                measured_mbps: measured,
-                latency_ns,
-                horizon_mbps: outcome.horizon,
-                degraded: outcome.degraded,
-            })
-            .is_err()
-        {
-            // Consumer went away: keep draining so producers never block
-            // on a dead shard, but stop emitting.
-        }
-        if fault.kill_worker {
-            // Injected *after* the response, so supervision is exercised
-            // without violating one-response-per-accepted-record.
-            panic!("chaos: injected worker kill on shard {shard} (ue {ue} pass {pass_id} t {t})");
+            input_len: 1,
+            batch: 1,
         }
     }
 }
@@ -266,16 +121,17 @@ pub fn run_shard(
 enum LaneState {
     /// Panic during session update/extraction: answered degraded-with-None.
     Quarantined,
-    /// Not enough contiguous history yet for an encoder input.
+    /// The session's feature history is shorter than the served model
+    /// reads.
     Warmup,
     /// An injected predict fault diverts this lane straight to the
-    /// harmonic fallback, never into the shared batch call.
+    /// harmonic fallback, never into the shared model call.
     Fallback,
-    /// A snapshot of the session's encoder history, ready to decode.
-    Ready(Vec<Vec<f64>>),
+    /// The session's history is long enough to answer from.
+    Ready,
 }
 
-/// One dequeued record flowing through a batched dispatch.
+/// One dequeued record flowing through a dispatch.
 struct Lane {
     ue: u64,
     pass_id: u32,
@@ -285,52 +141,48 @@ struct Lane {
     state: LaneState,
 }
 
-fn fallback_by_ue(sessions: &HashMap<u64, Session>, ue: u64) -> (Option<f64>, bool) {
-    (sessions.get(&ue).and_then(|s| s.harmonic_estimate()), true)
-}
-
-/// Run one shard worker in sequence-serving mode until ingest disconnects.
+/// Run one shard worker until its ingest channel disconnects.
 ///
-/// Differs from the single-record loop in two ways. First, each UE session
-/// additionally accumulates the per-second feature vectors a Seq2Seq
-/// encoder consumes, reset together with the record window on any
-/// discontinuity — so a warm session's history is exactly one of the
-/// sliding windows `build_sequences` emits offline. Second, the shard
-/// opportunistically drains up to `seq.batch` already-queued records per
-/// dispatch and answers them with one batched `predict_sequence_batch`
-/// call. The drain is capped at one record per UE: a UE's prediction must
-/// settle against its next record before that record is served, so a
-/// same-UE follow-up is carried into the next dispatch. Together with the
-/// bit-exact batched kernels underneath, that makes every response — and
-/// the online MAE — identical for any `decode_batch`, including 1.
+/// Each dispatch blocks for one record, then drains whatever is already
+/// queued up to `ctx.batch` records. The drain takes at most one record per
+/// UE: a UE's prediction must settle against its next record before that
+/// record is served, so a same-UE follow-up is carried into the next
+/// dispatch. It also ends right after a record armed with an injected
+/// worker kill, so the kill lands after the same records for any batch
+/// composition.
 ///
-/// The fallback chain matches the single-record path, applied per batch
-/// where the model call is shared: a panicking or over-budget batch call,
-/// or a lane whose horizon comes back empty/non-finite, answers from that
-/// session's harmonic estimate and is tagged `degraded`.
-fn run_shard_sequence(
+/// One `registry.current()` fetch per dispatch picks the model and so the
+/// number of feature rows a lane needs. Phase 1, per record in dequeue
+/// order: shed it if stale, push it into the UE's session, and extract its
+/// features via [`FeatureSpec::extract_latest`] into the session's feature
+/// history (reset with the record window on any discontinuity, so a warm
+/// history is exactly one of the sliding windows offline evaluation
+/// builds). Phase 2: one `predict_sequence_batch` call over the newest rows
+/// of every ready lane, borrowed from the sessions. Responses are emitted
+/// in dequeue order. The model call is the offline code path and the
+/// batched kernels are bit-exact per lane, which makes fault-free serving
+/// bit-identical to offline evaluation for any shard count and `batch`,
+/// including 1.
+pub fn run_shard(
     shard: usize,
     ctx: ShardContext,
-    seq: SequenceServing,
     registry: Arc<ModelRegistry>,
     rx: Receiver<Ingest>,
     out: Sender<Prediction>,
     metrics: Arc<ShardMetrics>,
 ) {
     let required = ctx.spec.required_window();
-    let input_len = seq.input_len.max(1);
-    let batch_cap = seq.batch.max(1);
+    let input_len = ctx.input_len.max(1);
+    let batch_cap = ctx.batch.max(1);
+    let fault_of = |msg: &Ingest| match &ctx.faults {
+        Some(plan) => plan.fault_for(RecordKey::of(msg.ue, &msg.record)),
+        None => RecordFault::NONE,
+    };
     let mut sessions: HashMap<u64, Session> = HashMap::new();
     let mut carry: Option<Ingest> = None;
-    // An armed worker kill waiting for a safe point: the panic must not
-    // fire while a drained-but-unanswered carry record is in hand, or that
-    // record would vanish from both the queue and the batch.
-    let mut pending_kill: Option<(u64, u32, u32)> = None;
+    let mut batch: Vec<(Ingest, RecordFault)> = Vec::with_capacity(batch_cap);
+    let mut lanes: Vec<Lane> = Vec::with_capacity(batch_cap);
     loop {
-        // Block for the first record, then drain whatever is already queued
-        // up to the batch cap (one record per UE). A worker about to die
-        // serves only the carried record, so the final batch cannot strand
-        // a fresh carry of its own.
         let first = match carry.take() {
             Some(msg) => msg,
             None => match rx.recv() {
@@ -338,21 +190,38 @@ fn run_shard_sequence(
                 Err(_) => return, // ingest disconnected and drained
             },
         };
-        let mut batch = vec![first];
-        while pending_kill.is_none() && batch.len() < batch_cap && carry.is_none() {
+        let mut kill = None;
+        let mut next = Some(first);
+        while let Some(msg) = next.take() {
+            let fault = fault_of(&msg);
+            if fault.kill_worker {
+                kill = Some(RecordKey::of(msg.ue, &msg.record));
+            }
+            batch.push((msg, fault));
+            if kill.is_some() || batch.len() == batch_cap {
+                break;
+            }
             match rx.try_recv() {
-                Ok(msg) if batch.iter().any(|b| b.ue == msg.ue) => carry = Some(msg),
-                Ok(msg) => batch.push(msg),
+                Ok(msg) if batch.iter().any(|(b, _)| b.ue == msg.ue) => carry = Some(msg),
+                Ok(msg) => next = Some(msg),
                 // Empty: serve what we have. Disconnected: the next recv
                 // exits after this final batch is answered.
-                Err(_) => break,
+                Err(_) => {}
             }
         }
 
+        // The model is fetched once per dispatch; it decides how many
+        // feature rows a lane needs. A hot-swapped model that reads more
+        // rows than the sessions keep answers every record as a warm-up.
+        let model = registry.current();
+        let need = model
+            .regressor
+            .seq2seq_params()
+            .map_or(1, |p| p.input_len.max(1));
+
         // Phase 1, in dequeue order: session update, feature extraction,
         // per-record panic isolation — everything except the model call.
-        let mut lanes: Vec<Lane> = Vec::with_capacity(batch.len());
-        for msg in batch {
+        for (msg, fault) in batch.drain(..) {
             let Ingest {
                 ue,
                 record,
@@ -365,14 +234,7 @@ fn run_shard_sequence(
                 }
             }
             let (pass_id, t, measured) = (record.pass_id, record.t, record.throughput_mbps);
-            let fault = match &ctx.faults {
-                Some(plan) => plan.fault_for(RecordKey::of(ue, &record)),
-                None => RecordFault::NONE,
-            };
             metrics.processed.fetch_add(1, Ordering::Relaxed);
-            if fault.kill_worker {
-                pending_kill = Some((ue, pass_id, t));
-            }
             let state = panic::catch_unwind(AssertUnwindSafe(|| {
                 if fault.poison {
                     panic!("chaos: injected poison record (ue {ue} pass {pass_id} t {t})");
@@ -390,12 +252,12 @@ fn run_shard_sequence(
                 if let Some(x) = ctx.spec.extract_latest(session.window()) {
                     session.record_features(x);
                 }
-                if session.feature_len() < input_len {
+                if session.feature_len() < need {
                     LaneState::Warmup
                 } else if fault.predict != PredictFault::None {
                     LaneState::Fallback
                 } else {
-                    LaneState::Ready(session.feature_history().to_vec())
+                    LaneState::Ready
                 }
             }));
             let state = state.unwrap_or_else(|_| {
@@ -413,107 +275,57 @@ fn run_shard_sequence(
             });
         }
 
-        // Phase 2: one model fetch and at most one batched decode for the
-        // whole dispatch.
-        let model = registry.current();
-        let ready: Vec<usize> = lanes
+        // Phase 2: at most one model call for the whole dispatch. Each UE
+        // appears once per dispatch, so its session's history is its lane's.
+        let histories: Vec<&[Vec<f64>]> = lanes
             .iter()
-            .enumerate()
-            .filter_map(|(i, l)| matches!(l.state, LaneState::Ready(_)).then_some(i))
+            .filter(|l| matches!(l.state, LaneState::Ready))
+            .map(|l| {
+                let history = sessions[&l.ue].feature_history();
+                &history[history.len() - need..]
+            })
             .collect();
-        let mut horizons: Vec<Option<Vec<f64>>> = vec![None; lanes.len()];
-        let mut no_sequence_form = false;
-        if !ready.is_empty() {
-            let histories: Vec<&[Vec<f64>]> = ready
-                .iter()
-                .map(|&i| match &lanes[i].state {
-                    LaneState::Ready(h) => h.as_slice(),
-                    _ => unreachable!("filtered to ready lanes"),
-                })
-                .collect();
+        let mut answers = None;
+        let mut formless = false;
+        if !histories.is_empty() {
             let started = ctx.predict_budget.map(|_| Instant::now());
             let raw = panic::catch_unwind(AssertUnwindSafe(|| {
                 model.regressor.predict_sequence_batch(&histories)
             }));
+            let over_budget = match (ctx.predict_budget, started) {
+                (Some(budget), Some(started)) => started.elapsed() > budget,
+                _ => false,
+            };
             match raw {
-                Ok(Some(decoded)) => {
-                    let over_budget = match (ctx.predict_budget, started) {
-                        (Some(budget), Some(started)) => started.elapsed() > budget,
-                        _ => false,
-                    };
-                    // Over budget: leave every slot None so all ready lanes
-                    // fall back (the call was shared, so is the verdict).
-                    if !over_budget {
-                        for (&slot, h) in ready.iter().zip(decoded) {
-                            horizons[slot] = Some(h);
-                        }
-                    }
-                }
-                // A hot-swapped model with no sequence form (e.g. harmonic
-                // mean): answer like a warm-up, exactly as the single-record
-                // path does for families without a single-row form.
-                Ok(None) => no_sequence_form = true,
-                Err(_) => {} // model panicked: every ready lane falls back
+                // Over budget: leave `answers` empty so every ready lane
+                // falls back (the call was shared, so is the verdict).
+                Ok(Some(decoded)) if !over_budget => answers = Some(decoded.into_iter()),
+                // A hot-swapped model with no sequence form (Kriging,
+                // harmonic mean): answer like a warm-up.
+                Ok(None) => formless = true,
+                _ => {} // panicked or over budget: every ready lane falls back
             }
         }
 
         // Emit in dequeue order.
-        for (idx, lane) in lanes.into_iter().enumerate() {
-            let outcome = match lane.state {
-                LaneState::Quarantined => StepOutcome {
-                    predicted: None,
-                    degraded: true,
-                    fallback: false,
-                    horizon: None,
-                    model_version: model.version,
-                },
-                LaneState::Warmup => StepOutcome {
-                    predicted: None,
-                    degraded: false,
-                    fallback: false,
-                    horizon: None,
-                    model_version: model.version,
-                },
-                LaneState::Fallback => {
-                    let (predicted, degraded) = fallback_by_ue(&sessions, lane.ue);
-                    StepOutcome {
-                        predicted,
-                        degraded,
-                        fallback: true,
-                        horizon: None,
-                        model_version: model.version,
+        let sequence_model = model.regressor.seq2seq_params().is_some();
+        for lane in lanes.drain(..) {
+            // (prediction, horizon, degraded, fallback)
+            let (predicted, horizon, degraded, fallback) = match lane.state {
+                LaneState::Quarantined => (None, None, true, false),
+                LaneState::Warmup => (None, None, false, false),
+                LaneState::Fallback => (harmonic(&sessions, lane.ue), None, true, true),
+                LaneState::Ready => match answers.as_mut().and_then(Iterator::next) {
+                    Some(h) if !h.is_empty() && h.iter().all(|v| v.is_finite()) => {
+                        (Some(h[0]), sequence_model.then_some(h), false, false)
                     }
-                }
-                LaneState::Ready(_) => match horizons[idx].take() {
-                    Some(h) if !h.is_empty() && h.iter().all(|v| v.is_finite()) => StepOutcome {
-                        predicted: Some(h[0]),
-                        degraded: false,
-                        fallback: false,
-                        horizon: Some(h),
-                        model_version: model.version,
-                    },
-                    None if no_sequence_form => StepOutcome {
-                        predicted: None,
-                        degraded: false,
-                        fallback: false,
-                        horizon: None,
-                        model_version: model.version,
-                    },
-                    // Failed/over-budget batch call, or an empty or
-                    // non-finite horizon for this lane.
-                    _ => {
-                        let (predicted, degraded) = fallback_by_ue(&sessions, lane.ue);
-                        StepOutcome {
-                            predicted,
-                            degraded,
-                            fallback: true,
-                            horizon: None,
-                            model_version: model.version,
-                        }
-                    }
+                    None if formless => (None, None, false, false),
+                    // Failed/over-budget model call, or an empty or
+                    // non-finite answer for this lane.
+                    _ => (harmonic(&sessions, lane.ue), None, true, true),
                 },
             };
-            if let Some(y) = outcome.predicted {
+            if let Some(y) = predicted {
                 if let Some(session) = sessions.get_mut(&lane.ue) {
                     session.pending = Some(PendingPrediction {
                         pass_id: lane.pass_id,
@@ -522,94 +334,42 @@ fn run_shard_sequence(
                     });
                 }
                 metrics.predictions.fetch_add(1, Ordering::Relaxed);
-            } else if !outcome.degraded {
+            } else if !degraded {
                 metrics.warmups.fetch_add(1, Ordering::Relaxed);
             }
-            if outcome.fallback {
+            if fallback {
                 metrics.fallbacks.fetch_add(1, Ordering::Relaxed);
             }
             let latency_ns = lane.enqueued.elapsed().as_nanos() as u64;
             metrics.latency.record(latency_ns);
+            // A send error means the consumer went away: keep draining so
+            // producers never block on a dead shard, but stop emitting.
             let _ = out.send(Prediction {
                 ue: lane.ue,
                 pass_id: lane.pass_id,
                 t: lane.t,
                 shard,
-                model_version: outcome.model_version,
-                predicted_mbps: outcome.predicted,
+                model_version: model.version,
+                predicted_mbps: predicted,
                 measured_mbps: lane.measured,
                 latency_ns,
-                horizon_mbps: outcome.horizon,
-                degraded: outcome.degraded,
+                horizon_mbps: horizon,
+                degraded,
             });
         }
-        if let Some((ue, pass_id, t)) = pending_kill {
+        if let Some(RecordKey { ue, pass_id, t }) = kill {
             // Injected *after* the batch is answered, so supervision is
             // exercised without violating one-response-per-accepted-record.
-            // A carried record was already dequeued and would be lost with
-            // this worker: loop once more to answer it (alone), then die.
-            if carry.is_none() {
-                panic!(
-                    "chaos: injected worker kill on shard {shard} (ue {ue} pass {pass_id} t {t})"
-                );
-            }
+            // The drain stopped at the armed record, so nothing dequeued is
+            // left unanswered.
+            panic!("chaos: injected worker kill on shard {shard} (ue {ue} pass {pass_id} t {t})");
         }
     }
 }
 
-/// The fallback chain around one model call.
-///
-/// Returns `(prediction, degraded)`:
-/// * healthy model, finite output, within budget → `(Some(y), false)` —
-///   bit-identical to the pre-fault-tolerance engine;
-/// * no feature row yet (warm-up) or a family with no single-row form →
-///   `(None, false)`;
-/// * model panicked / returned non-finite / blew the budget → the
-///   session-local harmonic estimate, `(Some(hm), true)` — never a dropped
-///   response, never a NaN.
-fn predict_step(
-    model: &lumos5g::TrainedRegressor,
-    x: Option<Vec<f64>>,
-    session: &Session,
-    fault: PredictFault,
-    budget: Option<Duration>,
-) -> (Option<f64>, bool) {
-    let Some(x) = x else {
-        return (None, false); // warm-up: expected, not degraded
-    };
-    // An injected Slow fault models a predict call that would have blown
-    // any budget: the (discarded) model output is never computed.
-    if fault == PredictFault::Slow {
-        return fallback(session);
-    }
-    let started = budget.map(|_| Instant::now());
-    let raw = panic::catch_unwind(AssertUnwindSafe(|| {
-        if fault == PredictFault::Panic {
-            panic!("chaos: injected model panic");
-        }
-        let y = model.predict_one(&x);
-        match fault {
-            PredictFault::Nan => y.map(|_| f64::NAN),
-            _ => y,
-        }
-    }));
-    match raw {
-        Ok(Some(y)) if y.is_finite() => {
-            if let (Some(budget), Some(started)) = (budget, started) {
-                if started.elapsed() > budget {
-                    return fallback(session);
-                }
-            }
-            (Some(y), false)
-        }
-        Ok(Some(_nonfinite)) => fallback(session),
-        Ok(None) => (None, false), // family has no single-row form
-        Err(_) => fallback(session),
-    }
-}
-
-fn fallback(session: &Session) -> (Option<f64>, bool) {
-    (session.harmonic_estimate(), true)
+/// The session-local harmonic fallback for `ue`.
+fn harmonic(sessions: &HashMap<u64, Session>, ue: u64) -> Option<f64> {
+    sessions.get(&ue).and_then(Session::harmonic_estimate)
 }
 
 #[cfg(test)]
@@ -655,8 +415,8 @@ mod tests {
         Arc::new(ModelRegistry::new(TrainedRegressor::Harmonic { window: 5 }))
     }
 
-    /// Harmonic has no single-row form → predict_one is None → the shard
-    /// must still answer every record (as a warm-up/None response).
+    /// Harmonic has no sequence form → the model call answers None → the
+    /// shard must still answer every record (as a warm-up/None response).
     #[test]
     fn every_record_gets_exactly_one_response() {
         let ctx = ShardContext::new(FeatureSpec::new(FeatureSet::LM));
@@ -688,16 +448,14 @@ mod tests {
         assert_eq!(ts, (0..10).collect::<Vec<_>>());
     }
 
-    /// Sequence mode with a model that has no sequence form: ready lanes
-    /// answer like warm-ups, and the batched drain still produces exactly
-    /// one in-order response per record and UE.
+    /// Multi-row histories with a model that has no sequence form: ready
+    /// lanes answer like warm-ups, and the batched drain still produces
+    /// exactly one in-order response per record and UE.
     #[test]
     fn sequence_mode_answers_every_record_for_formless_models() {
         let mut ctx = ShardContext::new(FeatureSpec::new(FeatureSet::LM));
-        ctx.seq = Some(SequenceServing {
-            input_len: 3,
-            batch: 4,
-        });
+        ctx.input_len = 3;
+        ctx.batch = 4;
         let metrics = Arc::new(ShardMetrics::new());
         let (tx, rx) = channel::bounded(64);
         let (out_tx, out_rx) = channel::unbounded();

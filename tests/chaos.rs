@@ -185,12 +185,11 @@ fn chaos_replay_answers_every_accepted_record_deterministically() {
 }
 
 /// Sequence serving under chaos: the batched decoder path must uphold the
-/// same liveness contract as the single-row path — exactly one finite
-/// response per accepted record, every fault class survived. Response bits
-/// are NOT compared across runs here: batch composition depends on queue
-/// timing, so a worker kill can land after a different number of emitted
-/// lanes run-to-run; the fault-free bit-exactness invariant is covered by
-/// the `serving` test instead.
+/// same contract as the GDBT test above — exactly one finite response per
+/// accepted record, every fault class survived, and bit-identical responses
+/// and counters across two runs with the same seed. A worker kill ends the
+/// shard's drain at the armed record, so it lands after the same records
+/// whatever the batch composition.
 #[test]
 fn seq2seq_chaos_replay_answers_every_accepted_record() {
     let data = chaos_data(29);
@@ -209,7 +208,8 @@ fn seq2seq_chaos_replay_answers_every_accepted_record() {
     let plan = Arc::new(plan);
     let src = ReplaySource::from_dataset(&data, 8).corrupted(&plan);
 
-    let (ra, accepted, rejected, keys) = run_chaos(model, &src, Some(plan), 3);
+    let (ra, accepted, rejected, keys) = run_chaos(model.clone(), &src, Some(plan.clone()), 3);
+    let (rb, accepted_b, rejected_b, keys_b) = run_chaos(model, &src, Some(plan), 3);
 
     // Exactly one (finite — asserted inside run_chaos) response per
     // accepted record, none lost to a quarantine, kill or batch boundary.
@@ -235,6 +235,23 @@ fn seq2seq_chaos_replay_answers_every_accepted_record() {
     let warmups: u64 = ra.shards.iter().map(|s| s.warmups).sum();
     assert_eq!(ra.predictions + warmups + ra.quarantined, ra.processed);
     assert!(ra.mae_mbps.is_some_and(f64::is_finite));
+
+    // Same seed, same counters.
+    assert_eq!(accepted, accepted_b);
+    assert_eq!(rejected, rejected_b);
+    assert_eq!(ra.processed, rb.processed);
+    assert_eq!(ra.predictions, rb.predictions);
+    assert_eq!(ra.quarantined, rb.quarantined);
+    assert_eq!(ra.fallbacks, rb.fallbacks);
+    assert_eq!(ra.panicked, rb.panicked);
+    assert_eq!(ra.restarted, rb.restarted);
+    assert_eq!(ra.rejected_by, rb.rejected_by);
+    let warmups_b: u64 = rb.shards.iter().map(|s| s.warmups).sum();
+    assert_eq!(warmups, warmups_b);
+    assert_eq!(ra.mae_mbps.map(f64::to_bits), rb.mae_mbps.map(f64::to_bits));
+
+    // Same seed, bit-identical responses.
+    assert_eq!(keys, keys_b, "same-seed chaos runs must match bit-for-bit");
 }
 
 #[test]

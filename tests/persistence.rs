@@ -139,8 +139,8 @@ fn seq2seq_cold_start_serves_bit_identical_horizons() {
     );
     let cold_preds = replay(cold, &src);
 
-    // The cold engine must detect sequence mode from the restored model
-    // (seq2seq_params survived) and actually serve horizons.
+    // The cold engine must size its sessions from the restored model's
+    // seq2seq_params and actually serve horizons.
     assert!(
         cold_preds.iter().any(|k| k.4.is_some()),
         "cold-started engine served no horizons"
@@ -163,7 +163,7 @@ fn load_dir_restores_the_latest_of_several_saved_versions() {
             .fit_regression(&data)
             .unwrap(),
     );
-    registry.store(&dir).unwrap(); // model-v1: KNN
+    registry.store(&dir).unwrap(); // model.gen-1: KNN
     let mut cfg = lumos5g::quick_gbdt();
     cfg.n_estimators = 20;
     registry.swap(
@@ -171,7 +171,7 @@ fn load_dir_restores_the_latest_of_several_saved_versions() {
             .fit_regression(&data)
             .unwrap(),
     );
-    registry.store(&dir).unwrap(); // model-v2: GDBT
+    registry.store(&dir).unwrap(); // model.gen-2: GDBT
 
     let restored = ModelRegistry::load_dir(&dir).unwrap();
     assert_eq!(restored.version(), 2);

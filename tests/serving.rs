@@ -36,8 +36,8 @@ fn engine_cfg() -> EngineConfig {
     }
 }
 
-fn run_replay(model: TrainedRegressor, src: &ReplaySource) -> Vec<Prediction> {
-    let engine = Engine::start(model, engine_cfg());
+fn run_replay(model: TrainedRegressor, src: &ReplaySource, cfg: EngineConfig) -> Vec<Prediction> {
+    let engine = Engine::start(model, cfg);
     let stats = src.run(&engine, 0.0);
     assert_eq!(stats.shed, 0);
     let (report, responses) = engine.shutdown();
@@ -178,8 +178,8 @@ fn sequence_serving_bit_matches_offline_and_any_shard_or_batch_count() {
 fn serving_is_deterministic_under_fixed_seed() {
     let data = serving_data(31);
     let src = ReplaySource::from_dataset(&data, 6);
-    let mut a = run_replay(gdbt_lmc(&data, 0), &src);
-    let mut b = run_replay(gdbt_lmc(&data, 0), &src);
+    let mut a = run_replay(gdbt_lmc(&data, 0), &src, engine_cfg());
+    let mut b = run_replay(gdbt_lmc(&data, 0), &src, engine_cfg());
     let key = |p: &Prediction| (p.ue, p.pass_id, p.t);
     a.sort_by_key(key);
     b.sort_by_key(key);
@@ -223,67 +223,19 @@ fn online_predictions_bit_match_offline_eval() {
     }
     assert!(!offline.is_empty());
 
-    // Online: replay the same records through a 4-shard engine.
-    let src = ReplaySource::from_dataset(&data, 8);
-    let responses = run_replay(model.clone(), &src);
-
-    let mut matched = 0usize;
-    for p in &responses {
-        match (p.predicted_mbps, offline.get(&(p.pass_id, p.t))) {
-            (Some(online), Some(&reference)) => {
-                assert_eq!(
-                    online.to_bits(),
-                    reference.to_bits(),
-                    "online {} != offline {} at pass={} t={}",
-                    online,
-                    reference,
-                    p.pass_id,
-                    p.t
-                );
-                matched += 1;
-            }
-            (None, None) => {} // warm-up second offline too (short history)
-            (online, reference) => panic!(
-                "warm-up disagreement at pass={} t={}: online={online:?} offline={reference:?}",
-                p.pass_id, p.t
-            ),
-        }
-    }
-    assert_eq!(matched, offline.len(), "every offline row must be served");
-
-    // Cross-check against the public eval() API: the multiset of
-    // (truth, prediction) pairs must agree bit-for-bit on rows that have
-    // a next-second ground truth.
+    // The public eval() API as a second reference: the multiset of
+    // (truth, prediction) pairs on rows that have a next-second ground
+    // truth.
     let (truth, pred) = model.eval(&data);
     let mut offline_pairs: Vec<(u64, u64)> = truth
         .iter()
         .zip(&pred)
         .map(|(t, p)| (t.to_bits(), p.to_bits()))
         .collect();
-    // Online: prediction at t targets t+1; join with the measured value
-    // echoed by the response at t+1 of the same pass.
-    let mut measured: HashMap<(u32, u32), f64> = HashMap::new();
-    for p in &responses {
-        measured.insert((p.pass_id, p.t), p.measured_mbps);
-    }
-    let mut online_pairs: Vec<(u64, u64)> = responses
-        .iter()
-        .filter_map(|p| {
-            let y = p.predicted_mbps?;
-            let truth = measured.get(&(p.pass_id, p.t + 1))?;
-            Some((truth.to_bits(), y.to_bits()))
-        })
-        .collect();
     offline_pairs.sort_unstable();
-    online_pairs.sort_unstable();
-    assert_eq!(offline_pairs, online_pairs);
 
-    // Persistence leg: a codec round trip of the model must serve the
-    // replay with the exact same bits as the in-memory original.
-    let restored =
-        lumos5g::persist::decode_regressor(&lumos5g::persist::encode_regressor(&model).unwrap())
-            .unwrap();
-    let restored_responses = run_replay(restored, &src);
+    // Online: replay the same records through every shard count and batch
+    // size — batching reorders work, never floating-point operations.
     let key_pred = |ps: &[Prediction]| {
         let mut v: Vec<_> = ps
             .iter()
@@ -292,7 +244,77 @@ fn online_predictions_bit_match_offline_eval() {
         v.sort_unstable();
         v
     };
-    assert_eq!(key_pred(&responses), key_pred(&restored_responses));
+    let src = ReplaySource::from_dataset(&data, 8);
+    let mut baseline = None;
+    for (shards, decode_batch) in [(1usize, 8usize), (2, 8), (4, 8), (4, 1)] {
+        let cfg = EngineConfig {
+            shards,
+            decode_batch,
+            ..engine_cfg()
+        };
+        let responses = run_replay(model.clone(), &src, cfg);
+
+        let mut matched = 0usize;
+        for p in &responses {
+            assert!(p.horizon_mbps.is_none(), "GDBT responses carry no horizon");
+            match (p.predicted_mbps, offline.get(&(p.pass_id, p.t))) {
+                (Some(online), Some(&reference)) => {
+                    assert_eq!(
+                        online.to_bits(),
+                        reference.to_bits(),
+                        "online {} != offline {} at pass={} t={} (shards={shards} batch={decode_batch})",
+                        online,
+                        reference,
+                        p.pass_id,
+                        p.t
+                    );
+                    matched += 1;
+                }
+                (None, None) => {} // warm-up second offline too (short history)
+                (online, reference) => panic!(
+                    "warm-up disagreement at pass={} t={}: online={online:?} offline={reference:?}",
+                    p.pass_id, p.t
+                ),
+            }
+        }
+        assert_eq!(matched, offline.len(), "every offline row must be served");
+
+        // Online: prediction at t targets t+1; join with the measured value
+        // echoed by the response at t+1 of the same pass.
+        let mut measured: HashMap<(u32, u32), f64> = HashMap::new();
+        for p in &responses {
+            measured.insert((p.pass_id, p.t), p.measured_mbps);
+        }
+        let mut online_pairs: Vec<(u64, u64)> = responses
+            .iter()
+            .filter_map(|p| {
+                let y = p.predicted_mbps?;
+                let truth = measured.get(&(p.pass_id, p.t + 1))?;
+                Some((truth.to_bits(), y.to_bits()))
+            })
+            .collect();
+        online_pairs.sort_unstable();
+        assert_eq!(
+            offline_pairs, online_pairs,
+            "shards={shards} batch={decode_batch} disagrees with eval()"
+        );
+        let keyed = key_pred(&responses);
+        match &baseline {
+            None => baseline = Some(keyed),
+            Some(b) => assert_eq!(
+                b, &keyed,
+                "shards={shards} batch={decode_batch} diverged from baseline"
+            ),
+        }
+    }
+
+    // Persistence leg: a codec round trip of the model must serve the
+    // replay with the exact same bits as the in-memory original.
+    let restored =
+        lumos5g::persist::decode_regressor(&lumos5g::persist::encode_regressor(&model).unwrap())
+            .unwrap();
+    let restored_responses = run_replay(restored, &src, engine_cfg());
+    assert_eq!(baseline, Some(key_pred(&restored_responses)));
 }
 
 #[test]
