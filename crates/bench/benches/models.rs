@@ -105,7 +105,7 @@ fn bench_seq2seq(c: &mut Criterion) {
         .map(|t| (0..6).map(|j| ((t * 7 + j) % 11) as f64 / 11.0).collect())
         .collect();
     c.bench_function("seq2seq_inference_20in_10out_h32", |b| {
-        b.iter(|| model.predict(black_box(&input)))
+        b.iter(|| model.predict_batch(&[black_box(input.as_slice())]))
     });
 
     let inputs: Vec<Vec<Vec<f64>>> = (0..32).map(|_| input.clone()).collect();

@@ -340,13 +340,12 @@ fn seq2seq_holdout(
     model.train(&train_in, &train_tg);
 
     let test_in = scale_in(&test.inputs);
-    let mut truth = Vec::with_capacity(test.len());
-    let mut pred = Vec::with_capacity(test.len());
-    for (input, target) in test_in.iter().zip(&test.targets) {
-        let out = model.predict(input);
-        truth.push(target[0]);
-        pred.push(y_scaler.inverse(out[0]));
-    }
+    let refs: Vec<&[Vec<f64>]> = test_in.iter().map(|s| s.as_slice()).collect();
+    let out = model
+        .predict_batch(&refs)
+        .expect("build_sequences yields non-empty inputs");
+    let truth = test.targets.iter().map(|target| target[0]).collect();
+    let pred = out.iter().map(|o| y_scaler.inverse(o[0])).collect();
     Ok((truth, pred))
 }
 

@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  "L5GM"
-//!      4     2  format version (u16 LE, currently 2; v1 still readable)
+//!      4     2  format version (u16 LE, currently 2)
 //!      6     1  kind     (0 = regressor, 1 = classifier, 2 = training
 //!                         checkpoint)
 //!      7     1  family   (regressor: 1 GDBT, 2 RF, 3 KNN, 4 Harmonic,
@@ -23,15 +23,15 @@
 //!      8     1  spec presence (0 = none, 1 = FeatureSpec follows)
 //!      9     …  FeatureSpec  (set tag u8, history_window u32) when present
 //!      …     …  family payload (model-defined, see `lumos5g-ml::codec`)
-//!   last     4  CRC32 (IEEE, LE) of every preceding byte — v2 only
+//!   last     4  CRC32 (IEEE, LE) of every preceding byte
 //! ```
 //!
 //! Versioning policy: the format version is bumped on any incompatible
 //! layout change; loaders reject unknown versions and unknown family tags
-//! with a typed error rather than guessing. Writers always emit v2; v1
-//! files (no checksum, no Kriging/checkpoint kinds, shorter Seq2Seq
-//! params) still decode. For v2 the trailing CRC32 is verified *before*
-//! any payload decoding, so a torn or bit-flipped file surfaces as
+//! with a typed error rather than guessing. Writers emit v2 and readers
+//! accept only v2: v1 files (no checksum) get
+//! [`PersistError::UnsupportedVersion`]. The trailing CRC32 is verified
+//! *before* any payload decoding, so a torn or bit-flipped file surfaces as
 //! [`PersistError::CrcMismatch`] rather than a structurally plausible but
 //! wrong model. Trailing bytes after the payload are treated as
 //! corruption.
@@ -59,7 +59,7 @@ pub const MAGIC: [u8; 4] = *b"L5GM";
 /// Current wire-format version (written on save).
 pub const FORMAT_VERSION: u16 = 2;
 /// Oldest wire-format version this build still reads.
-pub const MIN_FORMAT_VERSION: u16 = 1;
+pub const MIN_FORMAT_VERSION: u16 = 2;
 /// Conventional extension for saved models.
 pub const MODEL_EXTENSION: &str = "l5gm";
 
@@ -82,7 +82,7 @@ pub enum PersistError {
     Io(io::Error),
     /// The file does not start with the `L5GM` magic.
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is outside the range this build reads.
     UnsupportedVersion(u16),
     /// The file holds a classifier where a regressor was expected (or vice
     /// versa).
@@ -94,7 +94,7 @@ pub enum PersistError {
     },
     /// The family tag is unknown (a newer build's model, or corruption).
     UnsupportedFamily(String),
-    /// The v2 trailing checksum does not match the payload — the file was
+    /// The trailing checksum does not match the payload — the file was
     /// torn mid-write or bit-flipped at rest.
     CrcMismatch {
         /// CRC32 recomputed over the payload.
@@ -225,13 +225,12 @@ fn put_seq2seq_params(w: &mut ByteWriter, p: &Seq2SeqParams) {
     w.put_f64(p.lr);
     w.put_len(p.stride);
     w.put_u64(p.seed);
-    // v2 additions: early-stopping configuration.
     w.put_f64(p.val_fraction);
     w.put_len(p.patience);
 }
 
-fn get_seq2seq_params(r: &mut ByteReader<'_>, version: u16) -> Result<Seq2SeqParams, PersistError> {
-    let mut p = Seq2SeqParams {
+fn get_seq2seq_params(r: &mut ByteReader<'_>) -> Result<Seq2SeqParams, PersistError> {
+    Ok(Seq2SeqParams {
         input_len: r.len()?,
         horizon: r.len()?,
         hidden: r.len()?,
@@ -241,15 +240,9 @@ fn get_seq2seq_params(r: &mut ByteReader<'_>, version: u16) -> Result<Seq2SeqPar
         lr: r.f64()?,
         stride: r.len()?,
         seed: r.u64()?,
-        // v1 files predate early stopping: disabled, matching old behavior.
-        val_fraction: 0.0,
-        patience: 0,
-    };
-    if version >= 2 {
-        p.val_fraction = r.f64()?;
-        p.patience = r.len()?;
-    }
-    Ok(p)
+        val_fraction: r.f64()?,
+        patience: r.len()?,
+    })
 }
 
 fn put_header(w: &mut ByteWriter, kind: u8) {
@@ -258,8 +251,8 @@ fn put_header(w: &mut ByteWriter, kind: u8) {
     w.put_u8(kind);
 }
 
-/// Checks magic + version, returns `(version, kind byte)`.
-fn get_header(r: &mut ByteReader<'_>) -> Result<(u16, u8), PersistError> {
+/// Checks magic + version, returns the kind byte.
+fn get_header(r: &mut ByteReader<'_>) -> Result<u8, PersistError> {
     if r.take(4)? != MAGIC {
         return Err(PersistError::BadMagic);
     }
@@ -267,10 +260,10 @@ fn get_header(r: &mut ByteReader<'_>) -> Result<(u16, u8), PersistError> {
     if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    Ok((version, r.u8()?))
+    Ok(r.u8()?)
 }
 
-/// Append the v2 trailer: a CRC32 of every byte written so far.
+/// Append the trailer: a CRC32 of every byte written so far.
 fn seal(w: ByteWriter) -> Vec<u8> {
     let mut bytes = w.into_bytes();
     let crc = crc32(&bytes);
@@ -279,7 +272,7 @@ fn seal(w: ByteWriter) -> Vec<u8> {
 }
 
 /// Validate the container around `bytes` and return the payload slice
-/// (header included, trailer stripped for v2).
+/// (header included, trailer stripped).
 ///
 /// The version is read *before* the checksum is checked so a genuinely
 /// newer file reports [`PersistError::UnsupportedVersion`], and the
@@ -293,9 +286,6 @@ fn split_container(bytes: &[u8]) -> Result<&[u8], PersistError> {
     let version = peek.u16()?;
     if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion(version));
-    }
-    if version < 2 {
-        return Ok(bytes);
     }
     let trailer_at =
         bytes
@@ -381,7 +371,7 @@ pub fn decode_regressor(bytes: &[u8]) -> Result<TrainedRegressor, PersistError> 
 }
 
 fn decode_regressor_from(r: &mut ByteReader<'_>) -> Result<TrainedRegressor, PersistError> {
-    let (version, kind) = get_header(r)?;
+    let kind = get_header(r)?;
     if kind != KIND_REGRESSOR {
         return Err(PersistError::WrongKind {
             expected: "regressor",
@@ -423,7 +413,7 @@ fn decode_regressor_from(r: &mut ByteReader<'_>) -> Result<TrainedRegressor, Per
         },
         FAM_SEQ2SEQ => {
             let spec = need_spec(spec)?;
-            let params = get_seq2seq_params(r, version)?;
+            let params = get_seq2seq_params(r)?;
             let x_scaler = StandardScaler::decode(r)?;
             let y_scaler = TargetScaler {
                 mean: r.f64()?,
@@ -501,7 +491,7 @@ pub fn encode_classifier(model: &TrainedClassifier) -> Result<Vec<u8>, PersistEr
 pub fn decode_classifier(bytes: &[u8]) -> Result<TrainedClassifier, PersistError> {
     let payload = split_container(bytes)?;
     let mut r = ByteReader::new(payload);
-    let (_version, kind) = get_header(&mut r)?;
+    let kind = get_header(&mut r)?;
     if kind != KIND_CLASSIFIER {
         return Err(PersistError::WrongKind {
             expected: "classifier",
@@ -576,7 +566,7 @@ pub fn encode_checkpoint(ckpt: &TrainingCheckpoint) -> Vec<u8> {
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<TrainingCheckpoint, PersistError> {
     let payload = split_container(bytes)?;
     let mut r = ByteReader::new(payload);
-    let (_version, kind) = get_header(&mut r)?;
+    let kind = get_header(&mut r)?;
     if kind != KIND_CHECKPOINT {
         return Err(PersistError::WrongKind {
             expected: "training checkpoint",
@@ -894,9 +884,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_without_checksum_still_decode() {
-        // A v1 Harmonic file, exactly as the previous release wrote it:
-        // magic + version 1 + kind + family + no spec + window, no trailer.
+    fn v1_files_get_the_typed_version_error() {
+        // A v1 Harmonic file, exactly as releases before the checksum wrote
+        // it: magic + version 1 + kind + family + no spec + window, no
+        // trailer. Sealed or not, the version alone rejects it.
         let mut w = ByteWriter::new();
         w.put_bytes(&MAGIC);
         w.put_u16(1);
@@ -905,8 +896,16 @@ mod tests {
         w.put_u8(0); // no spec
         w.put_u32(9);
         let bytes = w.into_bytes();
-        let loaded = decode_regressor(&bytes).unwrap();
-        assert!(matches!(loaded, TrainedRegressor::Harmonic { window: 9 }));
+        assert!(matches!(
+            decode_regressor(&bytes),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
+        let mut sealed = bytes.clone();
+        sealed.extend_from_slice(&crc32(&bytes).to_le_bytes());
+        assert!(matches!(
+            decode_regressor(&sealed),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]

@@ -380,16 +380,18 @@ impl TrainedRegressor {
             } => {
                 let sd =
                     build_sequences(data, spec, params.input_len, params.horizon, params.stride);
-                let mut truth = Vec::with_capacity(sd.len());
-                let mut pred = Vec::with_capacity(sd.len());
-                for (input, target) in sd.inputs.iter().zip(&sd.targets) {
-                    let scaled: Vec<Vec<f64>> =
-                        input.iter().map(|x| x_scaler.transform_row(x)).collect();
-                    let out = model.predict(&scaled);
-                    // Next-slot evaluation: first horizon step.
-                    truth.push(target[0]);
-                    pred.push(y_scaler.inverse(out[0]));
-                }
+                let scaled: Vec<Vec<Vec<f64>>> = sd
+                    .inputs
+                    .iter()
+                    .map(|input| input.iter().map(|x| x_scaler.transform_row(x)).collect())
+                    .collect();
+                let refs: Vec<&[Vec<f64>]> = scaled.iter().map(|s| s.as_slice()).collect();
+                let out = model
+                    .predict_batch(&refs)
+                    .expect("build_sequences yields non-empty inputs");
+                // Next-slot evaluation: first horizon step.
+                let truth = sd.targets.iter().map(|target| target[0]).collect();
+                let pred = out.iter().map(|o| y_scaler.inverse(o[0])).collect();
                 (truth, pred)
             }
             TrainedRegressor::Harmonic { window } => {
@@ -415,8 +417,8 @@ impl TrainedRegressor {
     /// other models return a one-step vector).
     ///
     /// Panics on an empty history or a family with no sequence form
-    /// (Kriging, HarmonicMean); the serving engine uses the non-panicking
-    /// [`Self::predict_sequence_checked`] instead.
+    /// (Kriging, HarmonicMean); callers that cannot rule those out use the
+    /// non-panicking [`Self::predict_sequence_checked`] instead.
     pub fn predict_sequence(&self, history: &[Vec<f64>]) -> Vec<f64> {
         match self {
             TrainedRegressor::Kriging { .. } | TrainedRegressor::Harmonic { .. } => {
@@ -428,54 +430,26 @@ impl TrainedRegressor {
         }
     }
 
-    /// Non-panicking multi-step prediction: the serving-engine sequence
-    /// path. For Seq2Seq, scales `history` with the training-time feature
-    /// scaler, decodes the full `horizon`, and inverse-scales — exactly the
-    /// offline [`Self::predict_sequence`] code path, so online horizons are
-    /// bit-identical to offline ones. Tabular families (GDBT / KNN / RF)
-    /// return a one-step vector from the last history row. Returns `None`
-    /// for an empty history (a warm-up session) or a family with no
-    /// sequence form (Kriging, HarmonicMean), so a short history or a
-    /// hot-swapped family can never unwind a shard worker.
+    /// Non-panicking multi-step prediction for one history: a one-lane
+    /// [`Self::predict_sequence_batch`]. For Seq2Seq, scales `history` with
+    /// the training-time feature scaler, decodes the full `horizon`, and
+    /// inverse-scales. Tabular families (GDBT / KNN / RF) return a one-step
+    /// vector from the last history row. Returns `None` for an empty
+    /// history (a warm-up session) or a family with no sequence form
+    /// (Kriging, HarmonicMean), so a short history or a hot-swapped family
+    /// can never unwind a shard worker.
     pub fn predict_sequence_checked(&self, history: &[Vec<f64>]) -> Option<Vec<f64>> {
-        match self {
-            TrainedRegressor::Seq2Seq {
-                model,
-                x_scaler,
-                y_scaler,
-                ..
-            } => {
-                let scaled: Vec<Vec<f64>> =
-                    history.iter().map(|x| x_scaler.transform_row(x)).collect();
-                Some(
-                    model
-                        .predict_checked(&scaled)?
-                        .into_iter()
-                        .map(|z| y_scaler.inverse(z))
-                        .collect(),
-                )
-            }
-            TrainedRegressor::Gdbt { model, .. } => {
-                history.last().map(|x| vec![model.predict_row(x)])
-            }
-            TrainedRegressor::Knn { model, .. } => {
-                history.last().map(|x| vec![model.predict_row(x)])
-            }
-            TrainedRegressor::RandomForest { model, .. } => {
-                history.last().map(|x| vec![model.predict_row(x)])
-            }
-            TrainedRegressor::Kriging { .. } | TrainedRegressor::Harmonic { .. } => None,
-        }
+        self.predict_sequence_batch(&[history])?.pop()
     }
 
     /// Batched multi-step prediction over several histories at once — the
-    /// serving engine's one model call per dispatch, for every family. Lane
-    /// `i` of the result is bit-identical to
-    /// `predict_sequence_checked(histories[i])` (the
-    /// Seq2Seq matmuls are row-blocked, which reorders memory traffic but
-    /// never per-lane floating-point operations). Returns `None` under the
-    /// same conditions as the single-history form: any empty lane, or a
-    /// family with no sequence form.
+    /// serving engine's one model call per dispatch, for every family
+    /// (offline [`Self::eval`] decodes through the same
+    /// `Seq2Seq::predict_batch`). Lane `i` of the result is
+    /// the same bits whatever else is in the batch (the Seq2Seq matmuls are
+    /// row-blocked, which reorders memory traffic but never per-lane
+    /// floating-point operations). Returns `None` on any empty lane, or for
+    /// a family with no sequence form.
     pub fn predict_sequence_batch(&self, histories: &[&[Vec<f64>]]) -> Option<Vec<Vec<f64>>> {
         match self {
             TrainedRegressor::Seq2Seq {
@@ -484,9 +458,6 @@ impl TrainedRegressor {
                 y_scaler,
                 ..
             } => {
-                if histories.iter().any(|h| h.is_empty()) {
-                    return None;
-                }
                 let scaled: Vec<Vec<Vec<f64>>> = histories
                     .iter()
                     .map(|h| h.iter().map(|x| x_scaler.transform_row(x)).collect())
@@ -500,9 +471,11 @@ impl TrainedRegressor {
                         .collect(),
                 )
             }
+            // Tabular families answer from the newest row; `predict_one` is
+            // `None` for the families with no sequence form.
             _ => histories
                 .iter()
-                .map(|h| self.predict_sequence_checked(h))
+                .map(|h| self.predict_one(h.last()?).map(|y| vec![y]))
                 .collect(),
         }
     }

@@ -4,6 +4,14 @@
 //! Everything is implemented directly on `Vec<f64>` buffers — no BLAS, no
 //! autograd. Gradients are hand-derived and validated against finite
 //! differences in the test suite (`seq2seq::tests::gradient_check_*`).
+//!
+//! Inference and training share the batched kernels below: every LSTM
+//! step, in serving, evaluation, validation and the training minibatch,
+//! advances a block of lanes through [`batched_matvec_bias`], which also
+//! computes the backward data gradient `Wᵀ·dz` (over `transpose`d
+//! weights), and `accumulate_outer` adds a minibatch's weight gradients.
+//! Each keeps every output element's floating-point summation order fixed,
+//! so results are the same bits for any number of lanes.
 
 pub mod lstm;
 pub mod seq2seq;
@@ -63,14 +71,20 @@ impl Param {
     }
 }
 
+/// Lanes advanced in lockstep by the batched kernels: 8 independent f64
+/// chains cover fadd latency×throughput on current cores; more just spills
+/// accumulators.
+const LANE_TILE: usize = 8;
+
 /// Lane-interleaved batched bias + matrix–vector product:
 /// `out[b] = bias + W · xs[b]` for a block of input vectors sharing one
 /// row-major `rows × cols` weight matrix.
 ///
-/// This is the serving-side building block for batched Seq2Seq decoding,
-/// and it attacks the scalar path's actual bottleneck: one dot product is
-/// a single serial `fadd` dependency chain, so an unbatched matvec runs at
-/// FP-add *latency*, not throughput. Here up to [`LANE_TILE`] lanes advance
+/// This is the one forward kernel of the LSTM step, for batched Seq2Seq
+/// decoding and for the lockstep training minibatch alike, and it attacks
+/// the scalar path's actual bottleneck: one dot product is a single serial
+/// `fadd` dependency chain, so an unbatched matvec runs at FP-add
+/// *latency*, not throughput. Here up to `LANE_TILE` lanes advance
 /// through each weight row in lockstep — independent accumulator chains
 /// the CPU overlaps — and each weight element is loaded once per lane tile
 /// instead of once per lane. Every lane still accumulates its dot product
@@ -86,9 +100,6 @@ pub fn batched_matvec_bias(
 ) -> Vec<Vec<f64>> {
     assert_eq!(w.len(), rows * cols, "weight shape mismatch");
     assert_eq!(bias.len(), rows, "bias shape mismatch");
-    // 8 independent f64 chains cover fadd latency×throughput on current
-    // cores; more just spills accumulators.
-    const LANE_TILE: usize = 8;
     let mut out: Vec<Vec<f64>> = xs
         .iter()
         .map(|x| {
@@ -131,6 +142,102 @@ pub fn batched_matvec_bias(
         }
     }
     out
+}
+
+/// Transpose a row-major `rows × cols` matrix into a row-major
+/// `cols × rows` one. With it the data gradient of a layer, `Wᵀ·dz`, is
+/// [`batched_matvec_bias`] over `Wᵀ` with a zero bias: each element is
+/// then summed from zero over `W`'s rows in ascending order, exactly as the
+/// per-lane `for r { for c { out[c] += dz[r] * W[r][c] } }` loop sums it
+/// (a sum started at `+0.0` is never `-0.0`, so the zero bias added last
+/// changes no bit).
+pub(crate) fn transpose(w: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+    assert_eq!(w.len(), rows * cols, "matrix shape mismatch");
+    let mut t = vec![0.0; rows * cols];
+    for (r, row) in w.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            t[c * rows + r] = v;
+        }
+    }
+    t
+}
+
+/// Blocked rank-K gradient update: `g[r][c] += Σₖ dzs[k][r] · xs[k][c]`
+/// for a row-major `rows × cols` accumulator, and `bias_g[r] += Σₖ
+/// dzs[k][r]`.
+///
+/// Every element is accumulated onto its current value in `k` order —
+/// the order a per-term `g += dz ⊗ x` loop adds them in — so the result is
+/// bit-identical to that loop. The terms are packed once into 4-row and
+/// 8-column panels (`k`-major) and `g` into 4 × 8 blocks, all zero-padded
+/// past the matrix edge; each block then stays in registers while all `K`
+/// terms stream past it. Padding elements only ever add `0 · x` to a
+/// discarded accumulator.
+pub(crate) fn accumulate_outer(
+    g: &mut [f64],
+    bias_g: &mut [f64],
+    rows: usize,
+    cols: usize,
+    dzs: &[&[f64]],
+    xs: &[&[f64]],
+) {
+    const RB: usize = 2;
+    const CB: usize = 8;
+    assert_eq!(g.len(), rows * cols, "gradient shape mismatch");
+    assert_eq!(bias_g.len(), rows, "bias gradient shape mismatch");
+    assert_eq!(dzs.len(), xs.len(), "term count mismatch");
+    let k_n = dzs.len();
+    let (n_rb, n_cb) = (rows.div_ceil(RB), cols.div_ceil(CB));
+    // Panels: `dp[(rb*K + k)*RB + i]` = dzs[k][rb*RB + i] and
+    // `xp[(cb*K + k)*CB + j]` = xs[k][cb*CB + j], zero past the edge.
+    let mut dp = vec![0.0; n_rb * RB * k_n];
+    let mut xp = vec![0.0; n_cb * CB * k_n];
+    for (k, (dz, x)) in dzs.iter().zip(xs).enumerate() {
+        assert_eq!(dz.len(), rows, "gradient dim mismatch");
+        assert_eq!(x.len(), cols, "input dim mismatch");
+        for (rb, d) in dz.chunks(RB).enumerate() {
+            dp[(rb * k_n + k) * RB..][..d.len()].copy_from_slice(d);
+        }
+        for (cb, x) in x.chunks(CB).enumerate() {
+            xp[(cb * k_n + k) * CB..][..x.len()].copy_from_slice(x);
+        }
+        for (b, &v) in bias_g.iter_mut().zip(dz.iter()) {
+            *b += v;
+        }
+    }
+    // The accumulator, block-major and zero-padded alike:
+    // `gp[((rb*n_cb + cb)*RB + i)*CB + j]` = g[rb*RB + i][cb*CB + j].
+    let mut gp = vec![0.0; n_rb * n_cb * RB * CB];
+    let at = |r: usize, c: usize| (((r / RB) * n_cb + c / CB) * RB + r % RB) * CB + c % CB;
+    for (r, row) in g.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            gp[at(r, c)] = v;
+        }
+    }
+    for (rb, dpanel) in dp.chunks_exact(k_n * RB).enumerate() {
+        for (cb, xpanel) in xp.chunks_exact(k_n * CB).enumerate() {
+            let block = &mut gp[(rb * n_cb + cb) * RB * CB..][..RB * CB];
+            let mut acc = [[0.0f64; CB]; RB];
+            for (a, src) in acc.iter_mut().zip(block.chunks_exact(CB)) {
+                a.copy_from_slice(src);
+            }
+            for (d, x) in dpanel.chunks_exact(RB).zip(xpanel.chunks_exact(CB)) {
+                for (a, &d) in acc.iter_mut().zip(d) {
+                    for (a, &x) in a.iter_mut().zip(x) {
+                        *a += d * x;
+                    }
+                }
+            }
+            for (a, dst) in acc.iter().zip(block.chunks_exact_mut(CB)) {
+                dst.copy_from_slice(a);
+            }
+        }
+    }
+    for (r, row) in g.chunks_exact_mut(cols).enumerate() {
+        for (c, v) in row.iter_mut().enumerate() {
+            *v = gp[at(r, c)];
+        }
+    }
 }
 
 /// Adam optimizer state shared across a parameter set.
@@ -225,6 +332,63 @@ mod tests {
                 assert_eq!(got.to_bits(), scalar.to_bits());
             }
         }
+    }
+
+    fn random_rows(n: usize, len: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn transposed_matvec_bit_matches_per_lane_backward_loop() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let (rows, cols) = (37, 11);
+        let w = Param::xavier(rows * cols, cols, rows, &mut rng);
+        let w_t = transpose(&w.w, rows, cols);
+        // 17 lanes: two full lane tiles and a remainder.
+        let dzs = random_rows(17, rows, &mut rng);
+        let refs: Vec<&[f64]> = dzs.iter().map(|v| v.as_slice()).collect();
+        let batched = batched_matvec_bias(&w_t, cols, rows, &vec![0.0; cols], &refs);
+        for (lane, dz) in dzs.iter().enumerate() {
+            let mut want = vec![0.0; cols];
+            for (r, &d) in dz.iter().enumerate() {
+                for (c, o) in want.iter_mut().enumerate() {
+                    *o += d * w.w[r * cols + c];
+                }
+            }
+            for (got, want) in batched[lane].iter().zip(&want) {
+                assert_eq!(got.to_bits(), want.to_bits(), "lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_outer_bit_matches_per_term_loop() {
+        let mut rng = StdRng::seed_from_u64(12);
+        // Neither dimension a multiple of the register block.
+        let (rows, cols, terms) = (13, 19, 23);
+        let dzs = random_rows(terms, rows, &mut rng);
+        let xs = random_rows(terms, cols, &mut rng);
+        // Start from non-zero accumulators: the update adds onto them.
+        let g0 = random_rows(1, rows * cols, &mut rng).remove(0);
+        let b0 = random_rows(1, rows, &mut rng).remove(0);
+        let (mut want_g, mut want_b) = (g0.clone(), b0.clone());
+        for (dz, x) in dzs.iter().zip(&xs) {
+            for r in 0..rows {
+                want_b[r] += dz[r];
+                for c in 0..cols {
+                    want_g[r * cols + c] += dz[r] * x[c];
+                }
+            }
+        }
+        let (mut g, mut b) = (g0, b0);
+        let dz_refs: Vec<&[f64]> = dzs.iter().map(|v| v.as_slice()).collect();
+        let x_refs: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+        accumulate_outer(&mut g, &mut b, rows, cols, &dz_refs, &x_refs);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&g), bits(&want_g));
+        assert_eq!(bits(&b), bits(&want_b));
     }
 
     #[test]

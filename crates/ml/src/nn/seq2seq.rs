@@ -13,6 +13,11 @@
 //! decoder output into the next decoder input is detached (the standard
 //! simplification; gradients flow through the recurrent state instead).
 //! Targets are expected pre-standardized (see `dataset::TargetScaler`).
+//!
+//! Each minibatch trains in lockstep: all its samples are lanes of one
+//! batched forward and backward pass, bit-identical to training them one
+//! at a time (see `Seq2Seq::train_step`). Inference is the same lockstep
+//! forward without the tape, [`Seq2Seq::predict_batch`].
 
 use super::lstm::{LstmLayer, StepCache};
 use super::{Adam, Param};
@@ -94,13 +99,18 @@ pub struct Seq2Seq {
     adam: Adam,
 }
 
-struct DecoderTrace {
-    /// caches[t][layer]
-    caches: Vec<Vec<StepCache>>,
-    /// Top-layer hidden state at each step.
-    h_top: Vec<Vec<f64>>,
-    /// Emitted outputs.
-    outputs: Vec<f64>,
+/// Lanes per lockstep block in [`Seq2Seq::predict_batch`]: enough to fill
+/// every lane tile of the kernels while each block's states stay in cache.
+const PREDICT_CHUNK: usize = 64;
+
+/// What the training forward records for the backward pass, per lane.
+struct Tape {
+    /// `enc[b][t * layers + l]`: lane `b`'s encoder step `t`, layer `l`.
+    enc: Vec<Vec<StepCache>>,
+    /// `dec[b][t * layers + l]`: lane `b`'s decoder step `t`, layer `l`.
+    dec: Vec<Vec<StepCache>>,
+    /// `h_top[b][t]`: lane `b`'s top decoder hidden state at step `t`.
+    h_top: Vec<Vec<Vec<f64>>>,
 }
 
 impl Seq2Seq {
@@ -138,165 +148,79 @@ impl Seq2Seq {
         &self.cfg
     }
 
-    /// Encode an input sequence; returns per-layer (h, c) finals plus all
-    /// caches (needed only for training).
-    #[allow(clippy::type_complexity)]
-    fn run_encoder(&self, xs: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Vec<StepCache>>) {
-        let hdim = self.cfg.hidden;
-        let mut h: Vec<Vec<f64>> = vec![vec![0.0; hdim]; self.cfg.layers];
-        let mut c: Vec<Vec<f64>> = vec![vec![0.0; hdim]; self.cfg.layers];
-        let mut caches: Vec<Vec<StepCache>> = Vec::with_capacity(xs.len());
-        for x in xs {
-            let mut input = x.clone();
-            let mut step_caches = Vec::with_capacity(self.cfg.layers);
-            for (l, layer) in self.enc.iter().enumerate() {
-                let (hn, cn, cache) = layer.forward(&input, &h[l], &c[l]);
-                input = hn.clone();
-                h[l] = hn;
-                c[l] = cn;
-                step_caches.push(cache);
-            }
-            caches.push(step_caches);
-        }
-        (h, c, caches)
-    }
-
-    /// Run the decoder from encoder states. During training,
-    /// `teacher: Some(targets)` supplies ground truth for forced steps.
-    fn run_decoder(
+    /// Run encoder and decoder over a block of lanes in lockstep and return
+    /// each lane's `horizon` outputs. Lanes may have different lengths: a
+    /// lane leaves the encoder block after its last step and holds its
+    /// state until the decoder starts.
+    ///
+    /// Inference passes `teacher: None, tape: None`. Training passes the
+    /// targets with one teacher-forcing decision per lane and step
+    /// (`forced[b * horizon + t]`: feed `targets[b][t]` instead of the
+    /// lane's own output as the next decoder input) and a [`Tape`] that
+    /// records every step for the backward pass.
+    fn forward_lockstep(
         &self,
-        mut h: Vec<Vec<f64>>,
-        mut c: Vec<Vec<f64>>,
-        teacher: Option<(&[f64], &mut StdRng, f64)>,
-    ) -> (DecoderTrace, Vec<bool>) {
-        let mut trace = DecoderTrace {
-            caches: Vec::with_capacity(self.cfg.horizon),
-            h_top: Vec::with_capacity(self.cfg.horizon),
-            outputs: Vec::with_capacity(self.cfg.horizon),
-        };
-        let mut forced = Vec::with_capacity(self.cfg.horizon);
-        let mut prev = 0.0f64; // start token
-        let mut teacher = teacher;
-        for t in 0..self.cfg.horizon {
-            let mut input = vec![prev];
-            let mut step_caches = Vec::with_capacity(self.cfg.layers);
-            for (l, layer) in self.dec.iter().enumerate() {
-                let (hn, cn, cache) = layer.forward(&input, &h[l], &c[l]);
-                input = hn.clone();
-                h[l] = hn;
-                c[l] = cn;
-                step_caches.push(cache);
-            }
-            let h_top = h[self.cfg.layers - 1].clone();
-            let y: f64 = self.b_out.w[0]
-                + self
-                    .w_out
-                    .w
-                    .iter()
-                    .zip(&h_top)
-                    .map(|(w, h)| w * h)
-                    .sum::<f64>();
-            trace.caches.push(step_caches);
-            trace.h_top.push(h_top);
-            trace.outputs.push(y);
-
-            // Next decoder input: teacher-forced truth or own output.
-            prev = if let Some((targets, rng, p)) = &mut teacher {
-                if rng.gen::<f64>() < *p {
-                    forced.push(true);
-                    targets[t]
-                } else {
-                    forced.push(false);
-                    y
-                }
-            } else {
-                forced.push(false);
-                y
-            };
-        }
-        (trace, forced)
-    }
-
-    /// Predict `horizon` future (standardized) values for one input
-    /// sequence of feature vectors, or `None` when the sequence is empty
-    /// (a warm-up session has nothing to encode). The serving engine uses
-    /// this surface so a short history can never unwind a shard worker.
-    pub fn predict_checked(&self, xs: &[Vec<f64>]) -> Option<Vec<f64>> {
-        if xs.is_empty() {
-            return None;
-        }
-        let (h, c, _) = self.run_encoder(xs);
-        let (trace, _) = self.run_decoder(h, c, None);
-        Some(trace.outputs)
-    }
-
-    /// Predict `horizon` future (standardized) values for one input
-    /// sequence of feature vectors.
-    ///
-    /// Panics on an empty input sequence; use [`Self::predict_checked`]
-    /// where the history length is not statically guaranteed.
-    pub fn predict(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        self.predict_checked(xs)
-            .expect("cannot predict from an empty sequence")
-    }
-
-    /// Batched inference: decode `horizon` (standardized) values for a
-    /// block of input sequences at once, or `None` if any lane is empty.
-    /// Lanes may have different lengths.
-    ///
-    /// Lane `i` of the result is bit-identical to `predict(&seqs[i])`:
-    /// the fused-gate matmuls are blocked over weight rows (see
-    /// [`super::batched_matvec_bias`]) so each weight row is applied to
-    /// every lane while hot in cache — batching reorders memory traffic,
-    /// never the per-lane floating-point operations. This is what lets the
-    /// serving engine drain B sessions per dispatch without perturbing the
-    /// bit-exactness contract.
-    pub fn predict_batch(&self, seqs: &[&[Vec<f64>]]) -> Option<Vec<Vec<f64>>> {
-        if seqs.iter().any(|s| s.is_empty()) {
-            return None;
-        }
+        seqs: &[&[Vec<f64>]],
+        teacher: Option<(&[&[f64]], &[bool])>,
+        mut tape: Option<&mut Tape>,
+    ) -> Vec<Vec<f64>> {
         let lanes = seqs.len();
-        if lanes == 0 {
-            return Some(Vec::new());
-        }
         let hdim = self.cfg.hidden;
         let layers = self.cfg.layers;
+        let horizon = self.cfg.horizon;
         // Per-layer, per-lane recurrent state; encoder finals seed the
-        // decoder exactly as in the single-sequence path.
+        // decoder.
         let mut h: Vec<Vec<Vec<f64>>> = vec![vec![vec![0.0; hdim]; lanes]; layers];
         let mut c: Vec<Vec<Vec<f64>>> = vec![vec![vec![0.0; hdim]; lanes]; layers];
 
         let max_len = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
         for t in 0..max_len {
             let active: Vec<usize> = (0..lanes).filter(|&b| t < seqs[b].len()).collect();
-            let mut input: Vec<Vec<f64>> = active.iter().map(|&b| seqs[b][t].clone()).collect();
+            let mut below: Option<Vec<Vec<f64>>> = None;
             for (l, layer) in self.enc.iter().enumerate() {
-                let xs: Vec<&[f64]> = input.iter().map(|v| v.as_slice()).collect();
+                let xs: Vec<&[f64]> = match &below {
+                    None => active.iter().map(|&b| seqs[b][t].as_slice()).collect(),
+                    Some(hn) => hn.iter().map(|v| v.as_slice()).collect(),
+                };
                 let hp: Vec<&[f64]> = active.iter().map(|&b| h[l][b].as_slice()).collect();
                 let cp: Vec<&[f64]> = active.iter().map(|&b| c[l][b].as_slice()).collect();
-                let (hn, cn) = layer.forward_batch(&xs, &hp, &cp);
+                let mut caches = tape.is_some().then(Vec::new);
+                let (hn, cn) = layer.forward_batch(&xs, &hp, &cp, caches.as_mut());
+                if let (Some(tape), Some(caches)) = (tape.as_deref_mut(), caches) {
+                    for (&b, cache) in active.iter().zip(caches) {
+                        tape.enc[b].push(cache);
+                    }
+                }
                 for (&b, cnb) in active.iter().zip(cn) {
                     c[l][b] = cnb;
                 }
                 for (&b, hnb) in active.iter().zip(&hn) {
-                    h[l][b] = hnb.clone();
+                    h[l][b].clone_from(hnb);
                 }
-                input = hn;
+                below = Some(hn);
             }
         }
 
-        let mut outputs: Vec<Vec<f64>> = vec![Vec::with_capacity(self.cfg.horizon); lanes];
-        let mut prev: Vec<f64> = vec![0.0; lanes]; // start token per lane
-        for _ in 0..self.cfg.horizon {
-            let mut input: Vec<Vec<f64>> = prev.iter().map(|&p| vec![p]).collect();
+        let mut outputs: Vec<Vec<f64>> = vec![Vec::with_capacity(horizon); lanes];
+        let mut prev: Vec<[f64; 1]> = vec![[0.0]; lanes]; // start token per lane
+        for t in 0..horizon {
             for (l, layer) in self.dec.iter().enumerate() {
-                let xs: Vec<&[f64]> = input.iter().map(|v| v.as_slice()).collect();
+                let xs: Vec<&[f64]> = if l == 0 {
+                    prev.iter().map(|p| p.as_slice()).collect()
+                } else {
+                    h[l - 1].iter().map(|v| v.as_slice()).collect()
+                };
                 let hp: Vec<&[f64]> = h[l].iter().map(|v| v.as_slice()).collect();
                 let cp: Vec<&[f64]> = c[l].iter().map(|v| v.as_slice()).collect();
-                let (hn, cn) = layer.forward_batch(&xs, &hp, &cp);
+                let mut caches = tape.is_some().then(Vec::new);
+                let (hn, cn) = layer.forward_batch(&xs, &hp, &cp, caches.as_mut());
+                if let (Some(tape), Some(caches)) = (tape.as_deref_mut(), caches) {
+                    for (b, cache) in caches.into_iter().enumerate() {
+                        tape.dec[b].push(cache);
+                    }
+                }
                 c[l] = cn;
-                h[l] = hn.clone();
-                input = hn;
+                h[l] = hn;
             }
             for (b, (out, prev)) in outputs.iter_mut().zip(prev.iter_mut()).enumerate() {
                 let h_top = &h[layers - 1][b];
@@ -309,10 +233,41 @@ impl Seq2Seq {
                         .map(|(w, h)| w * h)
                         .sum::<f64>();
                 out.push(y);
-                *prev = y;
+                if let Some(tape) = tape.as_deref_mut() {
+                    tape.h_top[b].push(h_top.clone());
+                }
+                // Next decoder input: teacher-forced truth or own output.
+                prev[0] = match teacher {
+                    Some((targets, forced)) if forced[b * horizon + t] => targets[b][t],
+                    _ => y,
+                };
             }
         }
-        Some(outputs)
+        outputs
+    }
+
+    /// Batched inference: decode `horizon` (standardized) values for each
+    /// input sequence, or `None` if any lane is empty (a warm-up session has
+    /// nothing to encode, so a short history can never unwind a shard
+    /// worker). Lanes may have different lengths; any number of lanes is
+    /// decoded, in lockstep blocks of 64.
+    ///
+    /// This is the only inference path — serving, offline evaluation and
+    /// early-stopping validation all call it — and each lane's result is
+    /// the same bits whatever else is in the batch: the fused-gate matmuls
+    /// are blocked over weight rows (see [`super::batched_matvec_bias`]),
+    /// which reorders memory traffic, never the per-lane floating-point
+    /// operations. That is what lets the serving engine drain B sessions
+    /// per dispatch without perturbing the bit-exactness contract.
+    pub fn predict_batch(&self, seqs: &[&[Vec<f64>]]) -> Option<Vec<Vec<f64>>> {
+        if seqs.iter().any(|s| s.is_empty()) {
+            return None;
+        }
+        Some(
+            seqs.chunks(PREDICT_CHUNK)
+                .flat_map(|block| self.forward_lockstep(block, None, None))
+                .collect(),
+        )
     }
 
     /// Serialize the configuration and all weights (raw IEEE-754 bits, so
@@ -411,72 +366,172 @@ impl Seq2Seq {
         })
     }
 
-    /// Forward + backward on one sample; accumulates gradients and returns
-    /// the MSE loss.
-    fn loss_and_grad(&mut self, xs: &[Vec<f64>], ys: &[f64], rng: &mut StdRng) -> f64 {
-        assert_eq!(ys.len(), self.cfg.horizon, "target length mismatch");
+    /// The training step: forward and backward over one minibatch, every
+    /// sample in lockstep. Accumulates the gradients and returns the sum of
+    /// the samples' MSE losses (added in sample order).
+    ///
+    /// The teacher-forcing decisions are drawn up front, one per decoder
+    /// step, sample after sample — the RNG stream a per-sample loop
+    /// consumes. The backward pass runs the lanes in lockstep too
+    /// ([`LstmLayer::backward_batch`]); it keeps every step's `dz` and
+    /// applies the weight and bias gradients once per minibatch, each
+    /// element summed in (sample, reverse step) order. Loss, gradients and
+    /// hence the trained model are bit-identical to training one sample at
+    /// a time.
+    fn train_step(&mut self, xs: &[&[Vec<f64>]], ys: &[&[f64]], rng: &mut StdRng) -> f64 {
+        assert_eq!(xs.len(), ys.len(), "inputs/targets length mismatch");
+        let lanes = xs.len();
         let layers = self.cfg.layers;
         let hdim = self.cfg.hidden;
-
-        let (h_enc, c_enc, enc_caches) = self.run_encoder(xs);
+        let horizon = self.cfg.horizon;
+        for y in ys {
+            assert_eq!(y.len(), horizon, "target length mismatch");
+        }
         let tf = self.cfg.teacher_forcing;
-        let (trace, _forced) = self.run_decoder(h_enc, c_enc, Some((ys, rng, tf)));
+        let forced: Vec<bool> = (0..lanes * horizon)
+            .map(|_| rng.gen::<f64>() < tf)
+            .collect();
+        let mut tape = Tape {
+            enc: xs
+                .iter()
+                .map(|x| Vec::with_capacity(x.len() * layers))
+                .collect(),
+            dec: (0..lanes)
+                .map(|_| Vec::with_capacity(horizon * layers))
+                .collect(),
+            h_top: (0..lanes).map(|_| Vec::with_capacity(horizon)).collect(),
+        };
+        let outputs = self.forward_lockstep(xs, Some((ys, &forced)), Some(&mut tape));
 
-        let k = self.cfg.horizon as f64;
-        let loss: f64 = trace
-            .outputs
-            .iter()
-            .zip(ys)
-            .map(|(o, y)| (o - y) * (o - y))
-            .sum::<f64>()
-            / k;
-
-        // ---- Backward through the decoder ----
+        let k = horizon as f64;
+        let mut loss = 0.0;
+        for (out, y) in outputs.iter().zip(ys) {
+            loss += out
+                .iter()
+                .zip(*y)
+                .map(|(o, y)| (o - y) * (o - y))
+                .sum::<f64>()
+                / k;
+        }
         // dL/dy_t = 2 (y_t − t_t) / k
-        let mut dh_next: Vec<Vec<f64>> = vec![vec![0.0; hdim]; layers];
-        let mut dc_next: Vec<Vec<f64>> = vec![vec![0.0; hdim]; layers];
-        for t in (0..self.cfg.horizon).rev() {
-            let dy = 2.0 * (trace.outputs[t] - ys[t]) / k;
-            // Output head grads.
-            self.b_out.g[0] += dy;
-            let mut dh_top = dh_next[layers - 1].clone();
-            for (j, dh) in dh_top.iter_mut().enumerate() {
-                self.w_out.g[j] += dy * trace.h_top[t][j];
-                *dh += dy * self.w_out.w[j];
+        let dy = |b: usize, t: usize| 2.0 * (outputs[b][t] - ys[b][t]) / k;
+
+        // Output head grads, (sample, reverse step) order.
+        for b in 0..lanes {
+            for t in (0..horizon).rev() {
+                let dy = dy(b, t);
+                self.b_out.g[0] += dy;
+                for (g, h) in self.w_out.g.iter_mut().zip(&tape.h_top[b][t]) {
+                    *g += dy * h;
+                }
             }
+        }
+
+        // The weights are fixed within the minibatch: transpose them once.
+        let enc_t: Vec<Vec<f64>> = self.enc.iter().map(LstmLayer::weights_t).collect();
+        let dec_t: Vec<Vec<f64>> = self.dec.iter().map(LstmLayer::weights_t).collect();
+
+        // ---- Backward through the decoder, all lanes per step ----
+        // dz_dec[b][t * layers + l], filled in reverse.
+        let mut dz_dec: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); horizon * layers]; lanes];
+        let mut dh_next: Vec<Vec<Vec<f64>>> = vec![vec![vec![0.0; hdim]; lanes]; layers];
+        let mut dc_next: Vec<Vec<Vec<f64>>> = vec![vec![vec![0.0; hdim]; lanes]; layers];
+        for t in (0..horizon).rev() {
+            let mut dh_layer: Vec<Vec<f64>> = (0..lanes)
+                .map(|b| {
+                    let dy = dy(b, t);
+                    let mut dh = dh_next[layers - 1][b].clone();
+                    for (dh, w) in dh.iter_mut().zip(&self.w_out.w) {
+                        *dh += dy * w;
+                    }
+                    dh
+                })
+                .collect();
             // Through the stacked layers, top to bottom.
-            let mut dh_layer = dh_top;
             for l in (0..layers).rev() {
-                let dc_layer = dc_next[l].clone();
-                let (dx, dh_prev, dc_prev) =
-                    self.dec[l].backward(&dh_layer, &dc_layer, &trace.caches[t][l]);
-                dh_next[l] = dh_prev;
-                dc_next[l] = dc_prev;
-                // dx flows into the layer below's hidden output at this step
-                // (for l > 0); at l == 0 the feedback edge is detached.
-                if l > 0 {
-                    dh_layer = dx.iter().zip(&dh_next[l - 1]).map(|(a, b)| a + b).collect();
+                let layer = &self.dec[l];
+                let dh: Vec<&[f64]> = dh_layer.iter().map(|v| v.as_slice()).collect();
+                let dc: Vec<&[f64]> = dc_next[l].iter().map(|v| v.as_slice()).collect();
+                let caches: Vec<&StepCache> = tape.dec.iter().map(|d| &d[t * layers + l]).collect();
+                let grads = layer.backward_batch(&dec_t[l], &dh, &dc, &caches);
+                let in_dim = layer.input_dim;
+                dc_next[l] = grads.dc_prev;
+                for (b, (dxh, dz)) in grads.dxh.iter().zip(grads.dz).enumerate() {
+                    dh_next[l][b] = dxh[in_dim..].to_vec();
+                    dz_dec[b][t * layers + l] = dz;
+                    // dx flows into the layer below's hidden output at this
+                    // step (for l > 0); at l == 0 the feedback edge is
+                    // detached.
+                    if l > 0 {
+                        dh_layer[b] = dxh[..in_dim]
+                            .iter()
+                            .zip(&dh_next[l - 1][b])
+                            .map(|(a, b)| a + b)
+                            .collect();
+                    }
                 }
             }
         }
 
         // ---- Backward through the encoder ----
-        // Decoder's initial states were the encoder's finals.
+        // Decoder's initial states were the encoder's finals; a lane joins
+        // at its own last step.
+        let mut dz_enc: Vec<Vec<Vec<f64>>> = xs
+            .iter()
+            .map(|x| vec![Vec::new(); x.len() * layers])
+            .collect();
         let mut dh = dh_next;
         let mut dc = dc_next;
-        for t in (0..xs.len()).rev() {
-            let mut dh_from_above: Vec<f64> = vec![0.0; hdim];
+        let max_len = xs.iter().map(|x| x.len()).max().unwrap_or(0);
+        for t in (0..max_len).rev() {
+            let active: Vec<usize> = (0..lanes).filter(|&b| t < xs[b].len()).collect();
+            let mut dh_from_above: Vec<Vec<f64>> = vec![vec![0.0; hdim]; active.len()];
             for l in (0..layers).rev() {
-                let dh_total: Vec<f64> = dh[l]
+                let layer = &self.enc[l];
+                let dh_total: Vec<Vec<f64>> = active
                     .iter()
                     .zip(&dh_from_above)
-                    .map(|(a, b)| a + b)
+                    .map(|(&b, above)| dh[l][b].iter().zip(above).map(|(a, b)| a + b).collect())
                     .collect();
-                let (dx, dh_prev, dc_prev) =
-                    self.enc[l].backward(&dh_total, &dc[l], &enc_caches[t][l]);
-                dh[l] = dh_prev;
-                dc[l] = dc_prev;
-                dh_from_above = if l > 0 { dx } else { vec![0.0; hdim] };
+                let dh_refs: Vec<&[f64]> = dh_total.iter().map(|v| v.as_slice()).collect();
+                let dc_refs: Vec<&[f64]> = active.iter().map(|&b| dc[l][b].as_slice()).collect();
+                let caches: Vec<&StepCache> = active
+                    .iter()
+                    .map(|&b| &tape.enc[b][t * layers + l])
+                    .collect();
+                let grads = layer.backward_batch(&enc_t[l], &dh_refs, &dc_refs, &caches);
+                let in_dim = layer.input_dim;
+                for (((&b, dxh), dz), dc_prev) in active
+                    .iter()
+                    .zip(&grads.dxh)
+                    .zip(grads.dz)
+                    .zip(grads.dc_prev)
+                {
+                    dh[l][b] = dxh[in_dim..].to_vec();
+                    dc[l][b] = dc_prev;
+                    dz_enc[b][t * layers + l] = dz;
+                }
+                if l > 0 {
+                    dh_from_above = grads.dxh.iter().map(|v| v[..in_dim].to_vec()).collect();
+                }
+            }
+        }
+
+        // ---- Weight and bias gradients, once per minibatch ----
+        for l in 0..layers {
+            for (layer, dz, tape) in [
+                (&mut self.enc[l], &dz_enc, &tape.enc),
+                (&mut self.dec[l], &dz_dec, &tape.dec),
+            ] {
+                let mut dzs: Vec<&[f64]> = Vec::new();
+                let mut xhs: Vec<&[f64]> = Vec::new();
+                for (b, caches) in tape.iter().enumerate() {
+                    for t in (0..caches.len() / layers).rev() {
+                        dzs.push(&dz[b][t * layers + l]);
+                        xhs.push(&caches[t * layers + l].xh);
+                    }
+                }
+                layer.accumulate_grads(&dzs, &xhs);
             }
         }
         loss
@@ -606,6 +661,9 @@ impl Seq2Seq {
                     st.patience, patience,
                     "checkpoint patience mismatch on resume"
                 );
+                if let Some(why) = st.counters_error() {
+                    panic!("inconsistent checkpoint on resume: {why}");
+                }
                 // Replay the RNG stream of the completed epochs. The order
                 // permutation is shuffled in place epoch over epoch, so the
                 // shuffles must be replayed on the same evolving vector,
@@ -627,11 +685,15 @@ impl Seq2Seq {
             let mut epoch_loss = 0.0;
             for batch in order.chunks(self.cfg.batch_size) {
                 self.zero_grads();
-                let mut batch_loss = 0.0;
-                for &o in batch {
-                    let i = train_idx[o];
-                    batch_loss += self.loss_and_grad(&inputs[i], &targets[i], &mut rng);
-                }
+                let xs: Vec<&[Vec<f64>]> = batch
+                    .iter()
+                    .map(|&o| inputs[train_idx[o]].as_slice())
+                    .collect();
+                let ys: Vec<&[f64]> = batch
+                    .iter()
+                    .map(|&o| targets[train_idx[o]].as_slice())
+                    .collect();
+                let batch_loss = self.train_step(&xs, &ys, &mut rng);
                 self.clip_and_step(1.0 / batch.len() as f64);
                 epoch_loss += batch_loss;
             }
@@ -641,9 +703,13 @@ impl Seq2Seq {
             // (the way the model is served), track the best epoch.
             let mut stop = false;
             if !val_idx.is_empty() {
+                let seqs: Vec<&[Vec<f64>]> =
+                    val_idx.iter().map(|&i| inputs[i].as_slice()).collect();
+                let preds = self
+                    .predict_batch(&seqs)
+                    .expect("cannot validate on an empty sequence");
                 let mut val_loss = 0.0;
-                for &i in &val_idx {
-                    let pred = self.predict(&inputs[i]);
+                for (pred, &i) in preds.iter().zip(&val_idx) {
                     val_loss += pred
                         .iter()
                         .zip(&targets[i])
@@ -787,6 +853,33 @@ impl Seq2SeqTrainState {
             && self.n_samples == n_samples
             && self.val_fraction.to_bits() == val_fraction.to_bits()
             && self.patience == patience
+            && self.counters_error().is_none()
+    }
+
+    /// Why the epoch counters cannot come from a real run, if they cannot:
+    /// more epochs done than configured (resume would replay up to 2³²
+    /// epochs of RNG draws before training), a loss history of another
+    /// length, or a best epoch that has not run yet.
+    fn counters_error(&self) -> Option<String> {
+        let done = self.epochs_done;
+        if done > self.model.cfg.epochs {
+            return Some(format!(
+                "{done} epochs done of {} configured",
+                self.model.cfg.epochs
+            ));
+        }
+        if self.epoch_losses.len() != done {
+            return Some(format!(
+                "{} epoch losses for {done} epochs done",
+                self.epoch_losses.len()
+            ));
+        }
+        match &self.best {
+            Some(b) if b.epoch >= done => {
+                Some(format!("best epoch {} of {done} epochs done", b.epoch))
+            }
+            _ => None,
+        }
     }
 
     /// Serialize the full training state. Unlike [`Seq2Seq::encode`] this
@@ -885,7 +978,7 @@ impl Seq2SeqTrainState {
                 })
             }
         };
-        Ok(Seq2SeqTrainState {
+        let state = Seq2SeqTrainState {
             model,
             epochs_done,
             n_samples,
@@ -893,7 +986,176 @@ impl Seq2SeqTrainState {
             patience,
             epoch_losses,
             best,
-        })
+        };
+        match state.counters_error() {
+            Some(why) => Err(CodecError::Invalid(format!("Seq2Seq checkpoint: {why}"))),
+            None => Ok(state),
+        }
+    }
+}
+
+/// The per-sample training and inference path that the lockstep step must
+/// reproduce bit for bit: one sample at a time through the single-lane
+/// LSTM step, with the teacher-forcing draws taken as the decoder runs.
+/// Kept only as a test oracle.
+#[cfg(test)]
+mod reference {
+    use super::super::lstm::reference::{backward, forward};
+    use super::*;
+
+    struct DecoderTrace {
+        /// caches[t][layer]
+        caches: Vec<Vec<StepCache>>,
+        /// Top-layer hidden state at each step.
+        h_top: Vec<Vec<f64>>,
+        /// Emitted outputs.
+        outputs: Vec<f64>,
+    }
+
+    /// Encode an input sequence; returns per-layer (h, c) finals plus all
+    /// caches.
+    #[allow(clippy::type_complexity)]
+    fn run_encoder(
+        m: &Seq2Seq,
+        xs: &[Vec<f64>],
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Vec<StepCache>>) {
+        let hdim = m.cfg.hidden;
+        let mut h: Vec<Vec<f64>> = vec![vec![0.0; hdim]; m.cfg.layers];
+        let mut c: Vec<Vec<f64>> = vec![vec![0.0; hdim]; m.cfg.layers];
+        let mut caches: Vec<Vec<StepCache>> = Vec::with_capacity(xs.len());
+        for x in xs {
+            let mut input = x.clone();
+            let mut step_caches = Vec::with_capacity(m.cfg.layers);
+            for (l, layer) in m.enc.iter().enumerate() {
+                let (hn, cn, cache) = forward(layer, &input, &h[l], &c[l]);
+                input = hn.clone();
+                h[l] = hn;
+                c[l] = cn;
+                step_caches.push(cache);
+            }
+            caches.push(step_caches);
+        }
+        (h, c, caches)
+    }
+
+    /// Run the decoder from encoder states; `teacher: Some(targets)`
+    /// supplies ground truth for forced steps.
+    fn run_decoder(
+        m: &Seq2Seq,
+        mut h: Vec<Vec<f64>>,
+        mut c: Vec<Vec<f64>>,
+        mut teacher: Option<(&[f64], &mut StdRng, f64)>,
+    ) -> DecoderTrace {
+        let mut trace = DecoderTrace {
+            caches: Vec::with_capacity(m.cfg.horizon),
+            h_top: Vec::with_capacity(m.cfg.horizon),
+            outputs: Vec::with_capacity(m.cfg.horizon),
+        };
+        let mut prev = 0.0f64; // start token
+        for t in 0..m.cfg.horizon {
+            let mut input = vec![prev];
+            let mut step_caches = Vec::with_capacity(m.cfg.layers);
+            for (l, layer) in m.dec.iter().enumerate() {
+                let (hn, cn, cache) = forward(layer, &input, &h[l], &c[l]);
+                input = hn.clone();
+                h[l] = hn;
+                c[l] = cn;
+                step_caches.push(cache);
+            }
+            let h_top = h[m.cfg.layers - 1].clone();
+            let y: f64 = m.b_out.w[0]
+                + m.w_out
+                    .w
+                    .iter()
+                    .zip(&h_top)
+                    .map(|(w, h)| w * h)
+                    .sum::<f64>();
+            trace.caches.push(step_caches);
+            trace.h_top.push(h_top);
+            trace.outputs.push(y);
+            prev = if let Some((targets, rng, p)) = &mut teacher {
+                if rng.gen::<f64>() < *p {
+                    targets[t]
+                } else {
+                    y
+                }
+            } else {
+                y
+            };
+        }
+        trace
+    }
+
+    /// Single-sequence inference.
+    pub fn predict(m: &Seq2Seq, xs: &[Vec<f64>]) -> Vec<f64> {
+        assert!(!xs.is_empty(), "cannot predict from an empty sequence");
+        let (h, c, _) = run_encoder(m, xs);
+        run_decoder(m, h, c, None).outputs
+    }
+
+    /// Forward + backward on one sample; accumulates gradients and returns
+    /// the MSE loss.
+    pub fn loss_and_grad(m: &mut Seq2Seq, xs: &[Vec<f64>], ys: &[f64], rng: &mut StdRng) -> f64 {
+        assert_eq!(ys.len(), m.cfg.horizon, "target length mismatch");
+        let layers = m.cfg.layers;
+        let hdim = m.cfg.hidden;
+
+        let (h_enc, c_enc, enc_caches) = run_encoder(m, xs);
+        let tf = m.cfg.teacher_forcing;
+        let trace = run_decoder(m, h_enc, c_enc, Some((ys, rng, tf)));
+
+        let k = m.cfg.horizon as f64;
+        let loss: f64 = trace
+            .outputs
+            .iter()
+            .zip(ys)
+            .map(|(o, y)| (o - y) * (o - y))
+            .sum::<f64>()
+            / k;
+
+        // ---- Backward through the decoder ----
+        let mut dh_next: Vec<Vec<f64>> = vec![vec![0.0; hdim]; layers];
+        let mut dc_next: Vec<Vec<f64>> = vec![vec![0.0; hdim]; layers];
+        for t in (0..m.cfg.horizon).rev() {
+            let dy = 2.0 * (trace.outputs[t] - ys[t]) / k;
+            m.b_out.g[0] += dy;
+            let mut dh_top = dh_next[layers - 1].clone();
+            for (j, dh) in dh_top.iter_mut().enumerate() {
+                m.w_out.g[j] += dy * trace.h_top[t][j];
+                *dh += dy * m.w_out.w[j];
+            }
+            let mut dh_layer = dh_top;
+            for l in (0..layers).rev() {
+                let dc_layer = dc_next[l].clone();
+                let (dx, dh_prev, dc_prev) =
+                    backward(&mut m.dec[l], &dh_layer, &dc_layer, &trace.caches[t][l]);
+                dh_next[l] = dh_prev;
+                dc_next[l] = dc_prev;
+                if l > 0 {
+                    dh_layer = dx.iter().zip(&dh_next[l - 1]).map(|(a, b)| a + b).collect();
+                }
+            }
+        }
+
+        // ---- Backward through the encoder ----
+        let mut dh = dh_next;
+        let mut dc = dc_next;
+        for t in (0..xs.len()).rev() {
+            let mut dh_from_above: Vec<f64> = vec![0.0; hdim];
+            for l in (0..layers).rev() {
+                let dh_total: Vec<f64> = dh[l]
+                    .iter()
+                    .zip(&dh_from_above)
+                    .map(|(a, b)| a + b)
+                    .collect();
+                let (dx, dh_prev, dc_prev) =
+                    backward(&mut m.enc[l], &dh_total, &dc[l], &enc_caches[t][l]);
+                dh[l] = dh_prev;
+                dc[l] = dc_prev;
+                dh_from_above = if l > 0 { dx } else { vec![0.0; hdim] };
+            }
+        }
+        loss
     }
 }
 
@@ -916,26 +1178,38 @@ mod tests {
         }
     }
 
+    /// One lane through the batched inference path.
+    fn predict1(m: &Seq2Seq, xs: &[Vec<f64>]) -> Vec<f64> {
+        m.predict_batch(&[xs]).unwrap().remove(0)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn predict_returns_horizon_values() {
         let m = Seq2Seq::new(tiny_cfg());
         let xs = vec![vec![0.1, 0.2], vec![0.3, -0.1], vec![0.0, 0.5]];
-        assert_eq!(m.predict(&xs).len(), 3);
+        assert_eq!(predict1(&m, &xs).len(), 3);
     }
 
     #[test]
     fn prediction_is_deterministic() {
         let m = Seq2Seq::new(tiny_cfg());
         let xs = vec![vec![0.1, 0.2], vec![0.3, -0.1]];
-        assert_eq!(m.predict(&xs), m.predict(&xs));
+        assert_eq!(predict1(&m, &xs), predict1(&m, &xs));
     }
 
     #[test]
     fn predict_checked_handles_empty_history() {
         let m = Seq2Seq::new(tiny_cfg());
-        assert_eq!(m.predict_checked(&[]), None);
+        assert_eq!(m.predict_batch(&[&[]]), None);
         let xs = vec![vec![0.1, 0.2]];
-        assert_eq!(m.predict_checked(&xs), Some(m.predict(&xs)));
+        assert_eq!(
+            m.predict_batch(&[&xs]),
+            Some(vec![reference::predict(&m, &xs)])
+        );
     }
 
     #[test]
@@ -958,8 +1232,7 @@ mod tests {
             for chunk in refs.chunks(width) {
                 let batched = m.predict_batch(chunk).unwrap();
                 for (lane, seq) in chunk.iter().enumerate() {
-                    let single = m.predict(seq);
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let single = reference::predict(&m, seq);
                     assert_eq!(
                         bits(&batched[lane]),
                         bits(&single),
@@ -999,8 +1272,8 @@ mod tests {
 
         assert_eq!(restored.config(), m.config());
         let xs = vec![vec![0.4, -0.2], vec![0.1, 0.9], vec![-0.3, 0.0]];
-        let a = m.predict(&xs);
-        let b = restored.predict(&xs);
+        let a = predict1(&m, &xs);
+        let b = predict1(&restored, &xs);
         assert_eq!(
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1029,12 +1302,12 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(99);
             // Use a cloned model so grads don't touch the original.
             let mut probe = m.clone();
-            probe.loss_and_grad(&xs, &ys, &mut rng)
+            probe.train_step(&[&xs], &[&ys], &mut rng)
         };
 
         let mut rng = StdRng::seed_from_u64(99);
         m.zero_grads();
-        let _ = m.loss_and_grad(&xs, &ys, &mut rng);
+        let _ = m.train_step(&[&xs], &[&ys], &mut rng);
 
         let eps = 1e-6;
         // Encoder layer-0 weights (tests BPTT through the enc/dec boundary).
@@ -1080,6 +1353,79 @@ mod tests {
             assert!(
                 (numeric - analytic).abs() < 1e-5 * (1.0 + numeric.abs()),
                 "w_out[{idx}]: numeric {numeric} vs analytic {analytic}"
+            );
+        }
+    }
+
+    /// Every gradient accumulator, in `for_each_param` order, as bits.
+    fn grad_bits(m: &Seq2Seq) -> Vec<Vec<u64>> {
+        let mut gs = Vec::new();
+        m.for_each_param_ref(|p| gs.push(bits(&p.g)));
+        gs
+    }
+
+    #[test]
+    fn minibatch_step_bit_matches_per_sample_reference() {
+        let cfg = Seq2SeqConfig {
+            input_dim: 3,
+            hidden: 6,
+            layers: 2,
+            horizon: 4,
+            epochs: 1,
+            batch_size: 64,
+            lr: 1e-2,
+            teacher_forcing: 0.5, // the draws decide the decoder inputs
+            clip_norm: 5.0,
+            seed: 21,
+        };
+        // Ragged histories of 1..=6 steps.
+        let inputs: Vec<Vec<Vec<f64>>> = (0..64)
+            .map(|s| {
+                (0..1 + (s * 5) % 6)
+                    .map(|t| {
+                        let v = (s * 11 + t * 3) as f64;
+                        vec![(v * 0.13).sin(), (v * 0.07).cos(), (v * 0.29).sin() * 0.5]
+                    })
+                    .collect()
+            })
+            .collect();
+        let targets: Vec<Vec<f64>> = (0..64)
+            .map(|s| (0..4).map(|t| ((s + 2 * t) as f64 * 0.21).cos()).collect())
+            .collect();
+        // Weights past initialization, so no gradient term is trivially 0.
+        let mut base = Seq2Seq::new(cfg);
+        base.train(&inputs[..16], &targets[..16]);
+
+        for batch in [1usize, 7, 8, 9, 64] {
+            let samples: Vec<usize> = (0..batch).map(|i| (i * 37 + 5) % 64).collect();
+            let mut want = base.clone();
+            want.zero_grads();
+            let mut want_rng = StdRng::seed_from_u64(batch as u64);
+            let mut want_loss = 0.0;
+            for &s in &samples {
+                want_loss +=
+                    reference::loss_and_grad(&mut want, &inputs[s], &targets[s], &mut want_rng);
+            }
+
+            let mut got = base.clone();
+            got.zero_grads();
+            let mut got_rng = StdRng::seed_from_u64(batch as u64);
+            let xs: Vec<&[Vec<f64>]> = samples.iter().map(|&s| inputs[s].as_slice()).collect();
+            let ys: Vec<&[f64]> = samples.iter().map(|&s| targets[s].as_slice()).collect();
+            let got_loss = got.train_step(&xs, &ys, &mut got_rng);
+
+            assert_eq!(
+                got_loss.to_bits(),
+                want_loss.to_bits(),
+                "batch {batch}: loss"
+            );
+            for (i, (g, w)) in grad_bits(&got).iter().zip(grad_bits(&want)).enumerate() {
+                assert_eq!(g, &w, "batch {batch}: gradient tensor {i}");
+            }
+            assert_eq!(
+                got_rng.gen::<u64>(),
+                want_rng.gen::<u64>(),
+                "batch {batch}: RNG stream"
             );
         }
     }
@@ -1247,6 +1593,71 @@ mod tests {
     }
 
     #[test]
+    fn impossible_train_state_counters_are_rejected() {
+        let cfg = Seq2SeqConfig {
+            input_dim: 1,
+            hidden: 4,
+            layers: 1,
+            horizon: 3,
+            epochs: 6,
+            batch_size: 8,
+            lr: 1e-2,
+            teacher_forcing: 0.7,
+            clip_norm: 5.0,
+            seed: 5,
+        };
+        let (inputs, targets) = sine_task(20);
+        let (val_fraction, patience) = (0.25, 5);
+        let mut saved = None;
+        let mut probe = Seq2Seq::new(cfg);
+        probe.train_resumable(&inputs, &targets, val_fraction, patience, None, 3, |st| {
+            saved = Some(st.clone());
+        });
+        let genuine = saved.unwrap();
+        assert!(
+            genuine.best.is_some(),
+            "the test needs a best-epoch snapshot"
+        );
+        let fresh = Seq2Seq::new(cfg);
+        let n = inputs.len();
+        assert!(genuine.resumes(&fresh, n, val_fraction, patience));
+
+        type Corruption = (&'static str, fn(&mut Seq2SeqTrainState));
+        let corruptions: [Corruption; 4] = [
+            ("epochs past the config", |st| {
+                st.epochs_done = st.model.cfg.epochs + 1;
+                st.epoch_losses.resize(st.epochs_done, 0.0);
+            }),
+            ("effectively endless replay", |st| {
+                st.epochs_done = u32::MAX as usize;
+            }),
+            ("loss history length", |st| st.epoch_losses.push(0.5)),
+            ("best epoch not yet run", |st| {
+                st.best.as_mut().unwrap().epoch = st.epochs_done;
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut st = genuine.clone();
+            corrupt(&mut st);
+            assert!(
+                !st.resumes(&fresh, n, val_fraction, patience),
+                "{what}: must not resume"
+            );
+            let mut w = ByteWriter::new();
+            st.encode(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert!(
+                matches!(
+                    Seq2SeqTrainState::decode(&mut r),
+                    Err(CodecError::Invalid(_))
+                ),
+                "{what}: must decode to a typed error"
+            );
+        }
+    }
+
+    #[test]
     fn validation_split_is_deterministic_and_guarded() {
         assert_eq!(split_validation(10, 0.0, 3).1.len(), 0);
         assert_eq!(split_validation(10, 0.25, 0).1.len(), 0);
@@ -1296,7 +1707,7 @@ mod tests {
             .map(|i| vec![(100.0 + i as f64 * 0.5).sin()])
             .collect();
         let truth: Vec<f64> = (8..12).map(|i| (100.0f64 + i as f64 * 0.5).sin()).collect();
-        let pred = m.predict(&hist);
+        let pred = predict1(&m, &hist);
         let model_mse: f64 = pred
             .iter()
             .zip(&truth)
