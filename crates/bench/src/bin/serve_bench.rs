@@ -585,7 +585,7 @@ fn main() {
         eprintln!("saved results/serving.csv and results/serving_shards.csv");
     }
 
-    // Supervisor respawns and fallback work make the throughput targets
+    // Worker restarts and fallback work make the throughput targets
     // meaningless under chaos, and quick runs are smoke tests; the contract
     // assertions above are the gate there.
     if !args.quick && args.chaos.is_none() {

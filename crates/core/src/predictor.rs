@@ -413,23 +413,6 @@ impl TrainedRegressor {
         }
     }
 
-    /// Multi-step prediction for one feature-vector history (Seq2Seq only;
-    /// other models return a one-step vector).
-    ///
-    /// Panics on an empty history or a family with no sequence form
-    /// (Kriging, HarmonicMean); callers that cannot rule those out use the
-    /// non-panicking [`Self::predict_sequence_checked`] instead.
-    pub fn predict_sequence(&self, history: &[Vec<f64>]) -> Vec<f64> {
-        match self {
-            TrainedRegressor::Kriging { .. } | TrainedRegressor::Harmonic { .. } => {
-                panic!("predict_sequence is not defined for Kriging/HarmonicMean")
-            }
-            _ => self
-                .predict_sequence_checked(history)
-                .expect("non-empty history"),
-        }
-    }
-
     /// Non-panicking multi-step prediction for one history: a one-lane
     /// [`Self::predict_sequence_batch`]. For Seq2Seq, scales `history` with
     /// the training-time feature scaler, decodes the full `horizon`, and
@@ -733,23 +716,24 @@ mod tests {
         let spec = FeatureSpec::new(FeatureSet::LM);
         let recs: Vec<_> = data.records.iter().take(20).cloned().collect();
         let hist: Vec<Vec<f64>> = (0..10).map(|i| spec.extract(&recs, i).unwrap()).collect();
-        assert_eq!(m.predict_sequence(&hist).len(), p.horizon);
-
-        // The checked surface agrees bit-for-bit with the legacy one and
-        // types out the empty-history case instead of panicking.
         let checked = m.predict_sequence_checked(&hist).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&checked), bits(&m.predict_sequence(&hist)));
+        assert_eq!(checked.len(), p.horizon);
+
+        // The empty-history case is typed out instead of panicking.
         assert_eq!(m.predict_sequence_checked(&[]), None);
         assert_eq!(m.seq2seq_params(), Some(&p));
 
         // Batched inference is lane-for-lane bit-identical to singles.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let hist2: Vec<Vec<f64>> = (3..13).map(|i| spec.extract(&recs, i).unwrap()).collect();
         let batch = m
             .predict_sequence_batch(&[hist.as_slice(), hist2.as_slice()])
             .unwrap();
         assert_eq!(bits(&batch[0]), bits(&checked));
-        assert_eq!(bits(&batch[1]), bits(&m.predict_sequence(&hist2)));
+        assert_eq!(
+            bits(&batch[1]),
+            bits(&m.predict_sequence_checked(&hist2).unwrap())
+        );
         assert_eq!(m.predict_sequence_batch(&[hist.as_slice(), &[]]), None);
     }
 

@@ -138,6 +138,14 @@ impl GbdtCheckpoint {
         let rounds_done = r.len()?;
         let base = r.f64()?;
         let n_trees = r.len()?;
+        // More rounds than configured cannot come from a real run: resume
+        // would skip boosting and return every stored tree.
+        if rounds_done > cfg.n_estimators {
+            return Err(CodecError::Invalid(format!(
+                "checkpoint claims {rounds_done} rounds of {} configured",
+                cfg.n_estimators
+            )));
+        }
         if n_trees != rounds_done {
             return Err(CodecError::Invalid(format!(
                 "checkpoint claims {rounds_done} rounds but stores {n_trees} trees"
@@ -156,6 +164,10 @@ impl GbdtCheckpoint {
         })
     }
 }
+
+/// Early-stopping monitor for the boosting loop: validation rows, their
+/// targets, and the patience in rounds.
+type Validation<'a> = (&'a [Vec<f64>], &'a [f64], usize);
 
 /// Squared-loss gradient boosting machine.
 #[derive(Debug, Clone)]
@@ -195,8 +207,45 @@ impl GbdtRegressor {
         cfg: &GbdtConfig,
         resume: Option<GbdtCheckpoint>,
         checkpoint_every: usize,
-        mut on_checkpoint: impl FnMut(&GbdtCheckpoint),
+        on_checkpoint: impl FnMut(&GbdtCheckpoint),
     ) -> Self {
+        Self::boost(xs, ys, cfg, resume, checkpoint_every, on_checkpoint, None).0
+    }
+
+    /// Fit with early stopping: after each round the model is scored on
+    /// `(val_xs, val_ys)` (RMSE); training stops when the validation score
+    /// has not improved for `patience` rounds, and the model is truncated
+    /// to its best round. Returns the model and the per-round validation
+    /// RMSE curve.
+    pub fn fit_with_validation(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        val_xs: &[Vec<f64>],
+        val_ys: &[f64],
+        cfg: &GbdtConfig,
+        patience: usize,
+    ) -> (Self, Vec<f64>) {
+        assert_eq!(val_xs.len(), val_ys.len(), "validation length mismatch");
+        assert!(!val_xs.is_empty(), "need validation data");
+        assert!(patience >= 1, "patience must be at least 1");
+        let validation = (val_xs, val_ys, patience);
+        Self::boost(xs, ys, cfg, None, 0, |_| {}, Some(validation))
+    }
+
+    /// The one boosting loop behind every fit: optional resume and
+    /// checkpoints (see [`Self::fit_resumable`]) and an optional
+    /// early-stopping monitor, which truncates the model to its best
+    /// round. Returns the model and the monitor's per-round validation
+    /// RMSE curve (empty without one).
+    fn boost(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        cfg: &GbdtConfig,
+        resume: Option<GbdtCheckpoint>,
+        checkpoint_every: usize,
+        mut on_checkpoint: impl FnMut(&GbdtCheckpoint),
+        validation: Option<Validation<'_>>,
+    ) -> (Self, Vec<f64>) {
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
         assert!(!xs.is_empty(), "cannot fit GBDT on empty data");
         let n = xs.len();
@@ -204,6 +253,10 @@ impl GbdtRegressor {
         let mut pred = vec![base; n];
         let tree_cfg = cfg.tree_config();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut val_pred = validation.map_or(Vec::new(), |(_, vy, _)| vec![base; vy.len()]);
+        let mut curve = Vec::new();
+        let mut best_rmse = f64::INFINITY;
+        let mut best_round = 0usize;
 
         let (mut trees, start_round) = match resume {
             None => (Vec::with_capacity(cfg.n_estimators), 0),
@@ -237,6 +290,26 @@ impl GbdtRegressor {
             for i in 0..n {
                 pred[i] += cfg.learning_rate * tree.predict_row(&xs[i]);
             }
+            let mut stop = false;
+            if let Some((val_xs, val_ys, patience)) = validation {
+                for (vp, vx) in val_pred.iter_mut().zip(val_xs) {
+                    *vp += cfg.learning_rate * tree.predict_row(vx);
+                }
+                let rmse = (val_pred
+                    .iter()
+                    .zip(val_ys)
+                    .map(|(p, y)| (p - y) * (p - y))
+                    .sum::<f64>()
+                    / val_ys.len() as f64)
+                    .sqrt();
+                curve.push(rmse);
+                if rmse < best_rmse - 1e-9 {
+                    best_rmse = rmse;
+                    best_round = round;
+                } else {
+                    stop = round - best_round >= patience;
+                }
+            }
             trees.push(tree);
             let done = round + 1;
             if checkpoint_every > 0
@@ -251,97 +324,25 @@ impl GbdtRegressor {
                     trees: trees.clone(),
                 });
             }
+            if stop {
+                break;
+            }
         }
-        GbdtRegressor {
+        if validation.is_some() {
+            trees.truncate(best_round + 1);
+        }
+        let model = GbdtRegressor {
             base,
             trees,
             lr: cfg.learning_rate,
             n_features: xs[0].len(),
-        }
-    }
-
-    /// Fit with early stopping: after each round the model is scored on
-    /// `(val_xs, val_ys)` (RMSE); training stops when the validation score
-    /// has not improved for `patience` rounds, and the model is truncated
-    /// to its best round. Returns the model and the per-round validation
-    /// RMSE curve.
-    pub fn fit_with_validation(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        val_xs: &[Vec<f64>],
-        val_ys: &[f64],
-        cfg: &GbdtConfig,
-        patience: usize,
-    ) -> (Self, Vec<f64>) {
-        assert_eq!(val_xs.len(), val_ys.len(), "validation length mismatch");
-        assert!(!val_xs.is_empty(), "need validation data");
-        assert!(patience >= 1, "patience must be at least 1");
-        let mut model = GbdtRegressor::fit(
-            xs,
-            ys,
-            &GbdtConfig {
-                n_estimators: 0,
-                ..*cfg
-            },
-        );
-        // Incremental boosting with monitoring.
-        let n = xs.len();
-        let mut pred = vec![model.base; n];
-        let mut val_pred = vec![model.base; val_xs.len()];
-        let tree_cfg = cfg.tree_config();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut curve = Vec::new();
-        let mut best_rmse = f64::INFINITY;
-        let mut best_round = 0usize;
-        for round in 0..cfg.n_estimators {
-            let rows = subsample_idx(n, cfg.subsample, &mut rng);
-            let sub_xs: Vec<Vec<f64>> = rows.iter().map(|&i| xs[i].clone()).collect();
-            let g: Vec<f64> = rows.iter().map(|&i| pred[i] - ys[i]).collect();
-            let h = vec![1.0; rows.len()];
-            let tree = RegressionTree::fit_gradients(&sub_xs, &g, &h, &tree_cfg, None);
-            for i in 0..n {
-                pred[i] += cfg.learning_rate * tree.predict_row(&xs[i]);
-            }
-            for (vp, vx) in val_pred.iter_mut().zip(val_xs) {
-                *vp += cfg.learning_rate * tree.predict_row(vx);
-            }
-            model.trees.push(tree);
-
-            let rmse = (val_pred
-                .iter()
-                .zip(val_ys)
-                .map(|(p, y)| (p - y) * (p - y))
-                .sum::<f64>()
-                / val_ys.len() as f64)
-                .sqrt();
-            curve.push(rmse);
-            if rmse < best_rmse - 1e-9 {
-                best_rmse = rmse;
-                best_round = round;
-            } else if round - best_round >= patience {
-                break;
-            }
-        }
-        model.trees.truncate(best_round + 1);
+        };
         (model, curve)
     }
 
     /// Predict one row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
         self.base + self.lr * self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>()
-    }
-
-    /// Prediction after only the first `k` boosting rounds (staged
-    /// prediction, for learning-curve analysis).
-    pub fn predict_row_staged(&self, row: &[f64], k: usize) -> f64 {
-        self.base
-            + self.lr
-                * self
-                    .trees
-                    .iter()
-                    .take(k)
-                    .map(|t| t.predict_row(row))
-                    .sum::<f64>()
     }
 
     /// Predict many rows.
@@ -801,16 +802,32 @@ mod tests {
         }
     }
 
+    /// A checkpoint claiming more rounds than its config's `n_estimators`
+    /// used to decode, and resume then returned every stored tree.
     #[test]
-    fn staged_prediction_converges_to_full() {
-        let xs: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
-        let ys: Vec<f64> = (0..50).map(|i| i as f64 * 3.0).collect();
-        let m = GbdtRegressor::fit(&xs, &ys, &quick_cfg());
-        let full = m.predict_row(&[25.0]);
-        assert_eq!(m.predict_row_staged(&[25.0], m.n_trees()), full);
-        // Stage 0 = just the base prediction (the target mean).
-        let mean = ys.iter().sum::<f64>() / 50.0;
-        assert!((m.predict_row_staged(&[25.0], 0) - mean).abs() < 1e-9);
+    fn checkpoint_past_configured_rounds_is_rejected() {
+        let (xs, ys) = wavy_data();
+        let cfg = GbdtConfig {
+            n_estimators: 10,
+            subsample: 0.6,
+            seed: 3,
+            ..quick_cfg()
+        };
+        let mut saved = None;
+        let _ = GbdtRegressor::fit_resumable(&xs, &ys, &cfg, None, 8, |ck| {
+            saved = Some(ck.clone());
+        });
+        let mut ck = saved.expect("a checkpoint at round 8");
+        ck.trees.extend(ck.trees.clone()); // 16 trees, 10 configured
+        ck.rounds_done = ck.trees.len();
+        let mut w = ByteWriter::new();
+        ck.encode(&mut w);
+        let bytes = w.into_bytes();
+        let err = GbdtCheckpoint::decode(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid(why) if why.contains("16 rounds of 10")),
+            "{err:?}"
+        );
     }
 
     #[test]

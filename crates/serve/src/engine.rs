@@ -1,5 +1,5 @@
 //! The serving engine: shard pool, UE-affinity routing, admission control,
-//! worker supervision, lifecycle and aggregate reporting.
+//! in-place worker restart, lifecycle and aggregate reporting.
 //!
 //! Fault tolerance is layered (see also `shard.rs`):
 //!
@@ -7,24 +7,25 @@
 //!    the front door; malformed telemetry (non-finite throughput, RSRP or
 //!    coordinates, absurd GPS accuracy) is rejected with a typed
 //!    [`RejectReason`] and counted, never routed to a shard.
-//! 2. **Shard supervision** — a supervisor thread watches every worker;
-//!    when one dies (a panic escaped the per-record isolation, or an
-//!    injected chaos kill), it is respawned on the same ingest queue with
-//!    sessions rebuilt cold, and the death is counted per shard
-//!    (`panicked` / `restarted`) instead of poisoning
-//!    [`Engine::shutdown`].
+//! 2. **In-place restart** — each shard thread runs its worker loop under
+//!    `catch_unwind`; when a panic escapes the per-record isolation (or an
+//!    injected chaos kill fires), the unwind drops the shard's sessions and
+//!    the worker re-enters on the same ingest queue with sessions rebuilt
+//!    cold. Each restart is counted per shard (`panicked` / `restarted`)
+//!    instead of poisoning [`Engine::shutdown`].
 
 use crate::fault::FaultPlan;
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, ShardMetrics};
 use crate::queue::{IngestQueue, OverloadPolicy};
 use crate::registry::{Gatekeeper, ModelRegistry, SwapRejected};
 use crate::shard::{run_shard, Ingest, Prediction, ShardContext};
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver};
 use lumos5g::persist::PersistError;
 use lumos5g::TrainedRegressor;
 use lumos5g::{FeatureSet, FeatureSpec};
 use lumos5g_sim::Record;
 use parking_lot::Mutex;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -214,9 +215,9 @@ pub struct EngineReport {
     pub quarantined: u64,
     /// Responses served by the harmonic fallback predictor.
     pub fallbacks: u64,
-    /// Worker-thread deaths across shards.
+    /// Panics that escaped a shard's per-record isolation, across shards.
     pub panicked: u64,
-    /// Supervisor respawns across shards.
+    /// In-place worker restarts across shards (one per escaped panic).
     pub restarted: u64,
     /// Aggregate p50 end-to-end latency, ns.
     pub p50_ns: u64,
@@ -228,66 +229,10 @@ pub struct EngineReport {
     pub mae_mbps: Option<f64>,
 }
 
-/// Everything needed to (re)spawn one shard's worker thread.
-struct ShardRuntime {
-    shard_id: usize,
-    ctx: ShardContext,
-    registry: Arc<ModelRegistry>,
-    rx: Receiver<Ingest>,
-    out: Sender<Prediction>,
-    metrics: Arc<ShardMetrics>,
-}
-
-fn spawn_worker(rt: &ShardRuntime) -> JoinHandle<()> {
-    let shard_id = rt.shard_id;
-    let ctx = rt.ctx.clone();
-    let registry = rt.registry.clone();
-    let rx = rt.rx.clone();
-    let out = rt.out.clone();
-    let metrics = rt.metrics.clone();
-    std::thread::Builder::new()
-        .name(format!("serve-shard-{shard_id}"))
-        .spawn(move || run_shard(shard_id, ctx, registry, rx, out, metrics))
-        .expect("spawn shard worker")
-}
-
-/// How often the supervisor polls worker liveness. A dead shard's queue
-/// backs up for at most about this long before the respawn drains it.
-const SUPERVISOR_POLL: Duration = Duration::from_millis(1);
-
-/// Supervise the shard workers until every one of them exits *normally*
-/// (ingest disconnected and drained, i.e. after [`Engine::shutdown`] drops
-/// the queues). A worker that dies — `join` returns `Err` — is counted and
-/// respawned on the same ingest queue; its sessions are rebuilt cold from
-/// the stream. Responses buffered in the channel are never lost, and
-/// records queued behind the death are served by the replacement.
-fn supervise(mut slots: Vec<(ShardRuntime, Option<JoinHandle<()>>)>) {
-    loop {
-        let mut alive = 0usize;
-        for (rt, handle) in slots.iter_mut() {
-            let finished = handle.as_ref().is_some_and(|h| h.is_finished());
-            if finished {
-                let joined = handle.take().expect("handle present").join();
-                if joined.is_err() {
-                    rt.metrics.panicked.fetch_add(1, Ordering::Relaxed);
-                    rt.metrics.restarted.fetch_add(1, Ordering::Relaxed);
-                    *handle = Some(spawn_worker(rt));
-                }
-            }
-            if handle.is_some() {
-                alive += 1;
-            }
-        }
-        if alive == 0 {
-            return; // every worker exited cleanly
-        }
-        std::thread::sleep(SUPERVISOR_POLL);
-    }
-}
-
 struct ShardHandle {
     queue: IngestQueue<Ingest>,
     metrics: Arc<ShardMetrics>,
+    worker: JoinHandle<()>,
 }
 
 /// A running serving engine. See the crate docs for the architecture.
@@ -297,7 +242,6 @@ pub struct Engine {
     admission: AdmissionMetrics,
     gatekeeper: Mutex<Option<Gatekeeper>>,
     swaps: SwapMetrics,
-    supervisor: JoinHandle<()>,
     responses: Receiver<Prediction>,
 }
 
@@ -352,40 +296,44 @@ impl Engine {
         let (out_tx, out_rx) = channel::unbounded();
         let nshards = cfg.shards.max(1);
         let mut shards = Vec::with_capacity(nshards);
-        let mut slots = Vec::with_capacity(nshards);
         for shard_id in 0..nshards {
             let (tx, rx) = channel::bounded(cfg.queue_capacity.max(1));
             let metrics = Arc::new(ShardMetrics::new());
-            let rt = ShardRuntime {
-                shard_id,
-                ctx: ctx.clone(),
-                registry: registry.clone(),
-                rx,
-                out: out_tx.clone(),
-                metrics: metrics.clone(),
-            };
-            let worker = spawn_worker(&rt);
-            slots.push((rt, Some(worker)));
+            let ctx = ctx.clone();
+            let registry = registry.clone();
+            let out = out_tx.clone();
+            let m = metrics.clone();
+            let worker = std::thread::Builder::new()
+                .name(format!("serve-shard-{shard_id}"))
+                .spawn(move || {
+                    // A panic that escapes `run_shard` drops the shard's
+                    // sessions and in-flight batch; the worker re-enters
+                    // on the same queue with sessions rebuilt cold.
+                    while panic::catch_unwind(AssertUnwindSafe(|| {
+                        run_shard(shard_id, &ctx, &registry, &rx, &out, &m)
+                    }))
+                    .is_err()
+                    {
+                        m.panicked.fetch_add(1, Ordering::Relaxed);
+                        m.restarted.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+                .expect("spawn shard worker");
             shards.push(ShardHandle {
                 queue: IngestQueue::new(tx, cfg.policy),
                 metrics,
+                worker,
             });
         }
-        // The workers (and the supervisor's respawn runtimes) hold the only
-        // output senders: the response stream disconnects exactly when the
-        // last worker has exited and supervision ended.
+        // The workers hold the only output senders: the response stream
+        // disconnects exactly when the last worker has exited.
         drop(out_tx);
-        let supervisor = std::thread::Builder::new()
-            .name("serve-supervisor".into())
-            .spawn(move || supervise(slots))
-            .expect("spawn supervisor");
         Engine {
             shards,
             registry,
             admission: AdmissionMetrics::default(),
             gatekeeper: Mutex::new(None),
             swaps: SwapMetrics::default(),
-            supervisor,
             responses: out_rx,
         }
     }
@@ -509,11 +457,10 @@ impl Engine {
 
     /// Stop ingest, drain the workers and return the final report.
     ///
-    /// Never panics on a dead shard: workers that died mid-run were already
-    /// respawned by the supervisor and their deaths are reported in the
-    /// per-shard `panicked` / `restarted` counters. Buffered responses
-    /// remain readable on the receiver returned inside the tuple until it
-    /// is dropped.
+    /// Never panics on a shard that panicked mid-run: its worker restarted
+    /// in place, and the restarts are reported in the per-shard `panicked`
+    /// / `restarted` counters. Buffered responses remain readable on the
+    /// receiver returned inside the tuple until it is dropped.
     pub fn shutdown(self) -> (EngineReport, Receiver<Prediction>) {
         let Engine {
             shards,
@@ -521,24 +468,22 @@ impl Engine {
             admission,
             gatekeeper: _,
             swaps,
-            supervisor,
             responses,
         } = self;
         let agg = LatencyHistogram::new();
         let mut shed = 0;
         // Dropping each queue disconnects that shard's ingest channel; the
-        // worker (or its supervised replacement) drains what is buffered
-        // and exits.
+        // worker drains what is buffered (restarting in place if a record
+        // in the final drain panics) and exits.
         let mut shard_metrics = Vec::with_capacity(shards.len());
         for s in shards {
             shed += s.queue.shed_count();
             drop(s.queue);
+            s.worker
+                .join()
+                .expect("shard workers restart in place, never unwind");
             shard_metrics.push(s.metrics);
         }
-        // The supervisor returns once every worker has exited normally —
-        // respawning any that die during the final drain, so even a panic
-        // in the last record cannot lose the records queued behind it.
-        supervisor.join().expect("supervisor never panics");
         let mut snapshots = Vec::with_capacity(shard_metrics.len());
         let mut err_n = 0u64;
         let mut err_milli_sum = 0u64;
@@ -780,9 +725,9 @@ mod tests {
             },
             Some(Arc::new(plan)),
         );
-        // With capacity 1 and a worker dying per record, submits block on a
-        // dead shard until the supervisor respawns it — progress proves
-        // supervision, not luck.
+        // With capacity 1 and a worker killed per record, submits block
+        // until the worker restarts in place — progress proves the restart,
+        // not luck.
         for t in 0..5 {
             assert!(engine.submit(7, rec(1, t, 100.0)));
         }

@@ -19,7 +19,7 @@
 //! | `predict panic`| the model call unwinds         | harmonic fallback     |
 //! | `predict nan`  | the model call returns NaN     | harmonic fallback     |
 //! | `predict slow` | model call blows its budget    | harmonic fallback     |
-//! | `kill`         | worker thread dies             | supervisor respawn    |
+//! | `kill`         | worker loop unwinds            | in-place restart      |
 
 use lumos5g_sim::Record;
 
@@ -78,9 +78,9 @@ pub struct RecordFault {
     /// Panic inside session update / feature extraction (the record itself
     /// is poison): the shard must quarantine it and keep serving.
     pub poison: bool,
-    /// Kill the worker thread once this record is answered (the shard's
-    /// drain ends at this record): the engine supervisor must respawn the
-    /// shard.
+    /// Kill the worker once this record is answered (the shard's drain
+    /// ends at this record): the panic unwinds the worker loop, which must
+    /// restart in place on the same queue with sessions rebuilt cold.
     pub kill_worker: bool,
 }
 
@@ -122,7 +122,8 @@ pub struct FaultPlan {
     pub predict_slow_bp: u32,
     /// Poison-record (session/extract panic) rate, basis points.
     pub poison_bp: u32,
-    /// Worker-kill rate, basis points.
+    /// Worker-kill rate, basis points: a killed worker unwinds after
+    /// answering its batch and restarts in place on the same queue.
     pub kill_bp: u32,
     /// Source-corruption rate, basis points.
     pub corrupt_bp: u32,

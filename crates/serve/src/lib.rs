@@ -53,14 +53,15 @@
 //!   for single-row families). A Seq2Seq dispatch is one batched decoder
 //!   call, and its responses carry the full k-step horizon
 //!   ([`shard::Prediction::horizon_mbps`]), bit-identical to the offline
-//!   `predict_sequence`.
+//!   `predict_sequence_batch`.
 //! * **Fault tolerance** — admission control rejects malformed telemetry at
 //!   the front door with a typed [`engine::RejectReason`]; per-record panic
 //!   isolation quarantines poison records; a harmonic fallback chain
 //!   answers (tagged `degraded`) when the model call panics, returns
 //!   non-finite, or blows its time budget (a shared call's verdict applies
-//!   to every record it served); and a supervisor respawns dead shard workers
-//!   instead of failing shutdown. [`fault::FaultPlan`] injects all of these
+//!   to every record it served); and a shard worker whose loop a panic
+//!   escapes restarts in place on the same queue instead of failing
+//!   shutdown. [`fault::FaultPlan`] injects all of these
 //!   failures deterministically for chaos testing
 //!   (`serve_bench --chaos <seed>`, `tests/chaos.rs`).
 //! * **Observability** — per-shard counters, log-bucketed latency

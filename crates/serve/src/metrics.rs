@@ -152,12 +152,12 @@ pub struct ShardMetrics {
     /// [`OverloadPolicy::Deadline`](crate::queue::OverloadPolicy::Deadline)
     /// staleness budget.
     pub shed_stale: AtomicU64,
-    /// Times this shard's worker thread died (panic escaped the per-record
-    /// isolation, or an injected kill). Incremented by the engine
-    /// supervisor.
+    /// Times a panic escaped this shard's per-record isolation (or an
+    /// injected kill fired) and unwound its worker loop. Incremented by the
+    /// worker thread itself, which catches the unwind.
     pub panicked: AtomicU64,
-    /// Times the supervisor respawned this shard's worker (sessions rebuilt
-    /// cold).
+    /// Times this shard's worker loop restarted in place on the same queue
+    /// after such a panic (sessions rebuilt cold).
     pub restarted: AtomicU64,
     /// End-to-end latency (enqueue → prediction emitted).
     pub latency: LatencyHistogram,
@@ -211,9 +211,9 @@ pub struct MetricsSnapshot {
     pub fallbacks: u64,
     /// Records shed at dequeue by the `Deadline` staleness budget.
     pub shed_stale: u64,
-    /// Worker-thread deaths on this shard.
+    /// Panics that escaped this shard's per-record isolation.
     pub panicked: u64,
-    /// Supervisor respawns of this shard's worker.
+    /// In-place restarts of this shard's worker loop.
     pub restarted: u64,
     /// Ingest-queue depth at snapshot time.
     pub queue_depth: usize,

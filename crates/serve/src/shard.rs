@@ -17,8 +17,9 @@
 //! panic in session update or feature extraction discards the (possibly
 //! torn) session, counts the record as quarantined, and still emits a
 //! degraded response instead of taking the worker down. A panic that
-//! escapes both layers kills the thread; the engine supervisor respawns it
-//! (see `engine.rs`).
+//! escapes both layers unwinds out of [`run_shard`], dropping the shard's
+//! sessions; the engine's worker thread catches it and re-enters
+//! `run_shard` on the same queue (see `engine.rs`).
 
 use crate::fault::{FaultPlan, PredictFault, RecordFault, RecordKey};
 use crate::metrics::ShardMetrics;
@@ -78,8 +79,8 @@ pub struct Prediction {
 }
 
 /// Per-worker serving context: everything a shard needs besides its
-/// channels, bundled so the engine supervisor can respawn a worker with
-/// the exact configuration the dead one had.
+/// model registry, channels and metrics. [`run_shard`] borrows it, so a
+/// worker that restarts in place re-enters with the same configuration.
 #[derive(Debug, Clone)]
 pub struct ShardContext {
     /// Feature spec the served models were trained with.
@@ -163,13 +164,19 @@ struct Lane {
 /// batched kernels are bit-exact per lane, which makes fault-free serving
 /// bit-identical to offline evaluation for any shard count and `batch`,
 /// including 1.
+///
+/// A panic that escapes the per-record and model-call isolation (or an
+/// injected worker kill) unwinds out of this function and drops the
+/// sessions, carry and batch with it; the caller may simply call it again
+/// on the same channels, which is how the engine restarts a worker in
+/// place.
 pub fn run_shard(
     shard: usize,
-    ctx: ShardContext,
-    registry: Arc<ModelRegistry>,
-    rx: Receiver<Ingest>,
-    out: Sender<Prediction>,
-    metrics: Arc<ShardMetrics>,
+    ctx: &ShardContext,
+    registry: &ModelRegistry,
+    rx: &Receiver<Ingest>,
+    out: &Sender<Prediction>,
+    metrics: &ShardMetrics,
 ) {
     let required = ctx.spec.required_window();
     let input_len = ctx.input_len.max(1);
@@ -358,8 +365,9 @@ pub fn run_shard(
             });
         }
         if let Some(RecordKey { ue, pass_id, t }) = kill {
-            // Injected *after* the batch is answered, so supervision is
-            // exercised without violating one-response-per-accepted-record.
+            // Injected *after* the batch is answered, so the in-place
+            // restart is exercised without violating
+            // one-response-per-accepted-record.
             // The drain stopped at the armed record, so nothing dequeued is
             // left unanswered.
             panic!("chaos: injected worker kill on shard {shard} (ue {ue} pass {pass_id} t {t})");
@@ -425,7 +433,7 @@ mod tests {
         let (out_tx, out_rx) = channel::unbounded();
         let m = metrics.clone();
         let registry = harmonic_registry();
-        let worker = std::thread::spawn(move || run_shard(0, ctx, registry, rx, out_tx, m));
+        let worker = std::thread::spawn(move || run_shard(0, &ctx, &registry, &rx, &out_tx, &m));
         for t in 0..10 {
             tx.send(Ingest {
                 ue: 7,
@@ -461,7 +469,7 @@ mod tests {
         let (out_tx, out_rx) = channel::unbounded();
         let m = metrics.clone();
         let registry = harmonic_registry();
-        let worker = std::thread::spawn(move || run_shard(0, ctx, registry, rx, out_tx, m));
+        let worker = std::thread::spawn(move || run_shard(0, &ctx, &registry, &rx, &out_tx, &m));
         // Two interleaved UEs so batches mix lanes and exercise the
         // one-record-per-UE carry rule.
         for t in 0..10 {
@@ -504,7 +512,7 @@ mod tests {
         let (out_tx, out_rx) = channel::unbounded();
         let m = metrics.clone();
         let registry = harmonic_registry();
-        let worker = std::thread::spawn(move || run_shard(0, ctx, registry, rx, out_tx, m));
+        let worker = std::thread::spawn(move || run_shard(0, &ctx, &registry, &rx, &out_tx, &m));
         for t in 0..5 {
             tx.send(Ingest {
                 ue: 1,
@@ -543,7 +551,7 @@ mod tests {
         let (out_tx, out_rx) = channel::unbounded();
         let m = metrics.clone();
         let registry = harmonic_registry();
-        let worker = std::thread::spawn(move || run_shard(0, ctx, registry, rx, out_tx, m));
+        let worker = std::thread::spawn(move || run_shard(0, &ctx, &registry, &rx, &out_tx, &m));
         let ancient = Instant::now() - Duration::from_secs(3600);
         for t in 0..4 {
             tx.send(Ingest {
@@ -585,7 +593,7 @@ mod tests {
         let (out_tx, out_rx) = channel::unbounded();
         let m = metrics.clone();
         let registry = harmonic_registry();
-        let worker = std::thread::spawn(move || run_shard(0, ctx, registry, rx, out_tx, m));
+        let worker = std::thread::spawn(move || run_shard(0, &ctx, &registry, &rx, &out_tx, &m));
         for t in 0..6 {
             tx.send(Ingest {
                 ue: 9,
